@@ -10,7 +10,9 @@ forward + full backward on warm plans):
 2. **Measured baseline** — ``numpy`` wall time (warmup + repeats, median).
 3. **Modelled sweep** — the run is traced with
    :func:`repro.backend.parallel.trace_parallel`, which executes every
-   parallel region serially while recording per-task wall times; the time
+   parallel region serially while recording per-task wall times (at the
+   widest swept worker count, so regions that cut one chunk per worker
+   cut enough tasks for every modelled count); the time
    at ``w`` workers is then ``serial_wall - Σ region_serial +
    Σ LPT-makespan(region tasks, w)``.  This is the gpusim move applied to
    the host pool: measure clean per-shard costs, model the parallel
@@ -237,6 +239,7 @@ def _assert_tiled_bitwise(workload) -> list[dict]:
 
 def _modeled_sweep(workload, repeats: int) -> dict:
     """Trace the threaded run serially; model every worker count from it."""
+    set_num_workers(max(WORKER_SWEEP))  # cut regions for the widest pool
     best = None
     for _ in range(repeats):
         with trace_parallel() as regions:

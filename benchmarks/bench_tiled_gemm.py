@@ -20,16 +20,11 @@ side of that trade:
    in completion order (no tree, no partial list); its result is only
    allclose, and the observed max abs/rel error against the canonical
    result is measured and asserted within documented bounds.
-4. **Fused epilogue** — the staged conv -> bias -> BN -> activation
-   epilogue applied per output tile vs the same ops as separate
-   materialised passes: bitwise equality asserted, speedup reported next
-   to gpusim's ``fused_epilogue_speedup``.
 """
 import numpy as np
 
 from common import emit, full_mode
 from repro.backend import (
-    EpilogueArgs,
     KernelStats,
     clear_plan_cache,
     conv2d_plan,
@@ -195,56 +190,6 @@ def _fast_tier(workload, trials: int) -> dict:
     }
 
 
-def _fused_epilogue(device, repeats: int) -> dict:
-    """Fused conv->bias->BN->relu vs the same ops as separate passes."""
-    from repro.backend import conv2d_fused_plan, EpilogueSpec
-
-    n, cin, hw, cout = (8, 64, 32, 128) if full_mode() else (6, 64, 24, 128)
-    rng = np.random.default_rng(30)
-    x = rng.standard_normal((n, cin, hw, hw)).astype(np.float32)
-    w = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
-    bias = rng.standard_normal((1, cout, 1, 1)).astype(np.float32)
-    mean = rng.standard_normal((1, cout, 1, 1)).astype(np.float32)
-    scale = (
-        rng.standard_normal((1, cout, 1, 1)).astype(np.float32) * 0.1 + 1.0
-    )
-    beta = rng.standard_normal((1, cout, 1, 1)).astype(np.float32)
-    spec = EpilogueSpec(bias=True, affine=True, activation="relu")
-    fplan = conv2d_fused_plan(x.shape, w.shape, 1, 1, 1, x.dtype, spec)
-    epilogue = EpilogueArgs(
-        bias=bias, mean=mean, scale=scale, beta=beta, activation="relu"
-    )
-    plan = conv2d_plan(x.shape, w.shape, 1, 1, 1, x.dtype)
-    fused_kernel = get_kernel("conv2d_fused", "numpy")
-    conv_kernel = get_kernel("conv2d", "numpy")
-
-    def unfused() -> np.ndarray:
-        out, _ = conv_kernel(plan, x, w)
-        # The pre-fusion module path: each stage materialises a new array,
-        # same op sequence as the epilogue replays in place.
-        out = out + bias
-        out = (out - mean) * scale + beta
-        return out * (out > 0)
-
-    def fused() -> np.ndarray:
-        return fused_kernel(fplan, x, w, epilogue)
-
-    ref, got = unfused(), fused()
-    assert np.array_equal(ref, got), "fused epilogue diverged from staged ops"
-    t_unfused = time_callable(unfused, repeats=repeats, warmup=1).median
-    t_fused = time_callable(fused, repeats=repeats, warmup=1).median
-    return {
-        "stages": spec.stages,
-        "unfused_ms": round(t_unfused * 1e3, 3),
-        "fused_ms": round(t_fused * 1e3, 3),
-        "speedup": round(t_unfused / t_fused, 3),
-        "gpusim_speedup": round(
-            device.fused_epilogue_speedup(spec.stages), 3
-        ),
-        "bitwise_equal": True,
-    }
-
-
 def report_tiled_gemm():
     seed_all(0)
     repeats = 5 if full_mode() else 3
@@ -265,7 +210,6 @@ def report_tiled_gemm():
             sweep_rows.extend(_tile_sweep(workload, device, repeats))
         overhead = [_untiled_overhead(w, repeats) for w in workloads]
         fast = [_fast_tier(w, trials=3) for w in workloads]
-        fused = _fused_epilogue(device, repeats)
     finally:
         set_num_workers(old_workers)
 
@@ -295,19 +239,10 @@ def report_tiled_gemm():
         title="REPRO_PRECISION=fast: completion-order accumulation error "
               "vs the canonical result (allclose asserted)",
     )
-    table += "\n\n" + format_table(
-        ["stages", "unfused (ms)", "fused (ms)", "speedup", "gpusim"],
-        [[str(fused["stages"]), f"{fused['unfused_ms']:.2f}",
-          f"{fused['fused_ms']:.2f}", f"{fused['speedup']:.2f}",
-          f"{fused['gpusim_speedup']:.2f}"]],
-        title="Fused conv->bias->BN->relu epilogue vs separate materialised "
-              "passes (bitwise-equal, asserted)",
-    )
     data = {
         "tile_sweep": sweep_rows,
         "untiled_overhead": overhead,
         "fast_tier": fast,
-        "fused_epilogue": fused,
         "model_workers": MODEL_WORKERS,
     }
     return emit("tiled_gemm", table, data=data), data
@@ -315,7 +250,6 @@ def report_tiled_gemm():
 
 def test_tiled_gemm_gate():
     _, data = report_tiled_gemm()
-    assert data["fused_epilogue"]["bitwise_equal"]
     # Every tile size of every workload passed the bitwise worker grid.
     assert len(data["tile_sweep"]) == 2 * len(TILE_SWEEP)
     # Fast tier stayed inside its documented bounds.

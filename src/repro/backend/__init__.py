@@ -11,13 +11,14 @@ Kernel registry (``repro.backend.registry``)
 
     ============  =======================================================
     reference     naive loop kernels; ground truth for every fast path
-    numpy         einsum / ``as_strided`` fast paths fed by cached plans
-    threaded      numpy kernels sharded over the shared worker pool
-                  (``REPRO_NUM_WORKERS``); bitwise-identical to numpy
-    numba         optional JIT of the segment/tap loops; registers only
-                  when numba imports (bare containers fall back silently)
+    numpy         einsum / ``as_strided`` fast paths fed by cached plans,
+                  every parallel region run inline on one worker
+    threaded      the same kernels with their regions placed on the
+                  shared worker pool (``REPRO_NUM_WORKERS``);
+                  bitwise-identical to numpy by construction
     default       auto-selects the preferred available backend (numpy,
-                  or ``REPRO_BACKEND`` when set — with per-op fallback)
+                  or ``REPRO_BACKEND`` when set — with per-op fallback;
+                  an unregistered name is a ``ValueError``)
     ============  =======================================================
 
     Layers thread a ``backend=`` argument down to the dispatch
@@ -94,14 +95,10 @@ from repro.backend.workload import (
 from repro.backend.model_plan import ModelPlan, PlannedLayer, layer_workload
 from repro.backend.plan import (
     Conv2dPlan,
-    EpilogueArgs,
-    EpilogueSpec,
-    FusedConv2dPlan,
     Pool2dPlan,
     SCCPlan,
     combine_partials_tree,
     contraction_path,
-    conv2d_fused_plan,
     conv2d_plan,
     conv_out_size,
     dispatch_plan,
@@ -150,14 +147,11 @@ from repro.backend.registry import env_backend_order
 from repro.backend import numpy_backend as _numpy_backend  # noqa: F401
 from repro.backend import reference as _reference          # noqa: F401
 from repro.backend import threaded_backend as _threaded_backend  # noqa: F401
-from repro.backend import numba_backend as _numba_backend  # noqa: F401
 
-NUMBA_AVAILABLE = _numba_backend.NUMBA_AVAILABLE
-
-# REPRO_BACKEND overrides the "default" preference order (with silent
-# per-op fallback to numpy when the named backend is absent — see
-# env_backend_order).  Applied after registration so resolution is complete.
-REGISTRY.default_order = env_backend_order()
+# REPRO_BACKEND overrides the "default" preference order; a name no kernel
+# is registered under is rejected.  Applied after registration so the
+# check sees every backend.
+REGISTRY.default_order = env_backend_order(registered=REGISTRY.backend_names())
 
 __all__ = [
     "REGISTRY",
@@ -169,7 +163,6 @@ __all__ = [
     "get_kernel",
     "register_kernel",
     "ShardError",
-    "NUMBA_AVAILABLE",
     "EXECUTOR_TIERS",
     "Executor",
     "InlineExecutor",
@@ -198,14 +191,10 @@ __all__ = [
     "PlannedLayer",
     "layer_workload",
     "Conv2dPlan",
-    "EpilogueArgs",
-    "EpilogueSpec",
-    "FusedConv2dPlan",
     "Pool2dPlan",
     "SCCPlan",
     "combine_partials_tree",
     "contraction_path",
-    "conv2d_fused_plan",
     "conv2d_plan",
     "conv_out_size",
     "dispatch_plan",

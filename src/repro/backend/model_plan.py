@@ -110,14 +110,6 @@ class ModelPlan:
         self.batch_size = batch_size
         self.include_backward = include_backward
         self.layers = extract_layer_shapes(model, self.input_shape, batch_size=batch_size)
-        # Layers carrying a fused epilogue (repro.nn.fuse): their inference
-        # dispatch goes through conv2d_fused / SCC epilogue plans, which the
-        # warmup probe below makes cache-resident.
-        self.fused_layers = sum(
-            1
-            for _, m in model.named_modules()
-            if getattr(m, "_fused_epilogue", None) is not None
-        )
 
         base_builds = PLAN_CACHE.stats()["builds"]
         self.planned_layers = self._prebuild_layer_plans()
@@ -213,7 +205,6 @@ class ModelPlan:
         return {
             "layers": len(self.layers),
             "planned_layers": len(self.planned_layers),
-            "fused_layers": self.fused_layers,
             "prebuilt_plans": self.prebuilt_plans,
             "batch_size": self.batch_size,
             "input_shape": self.input_shape,

@@ -1,4 +1,4 @@
-"""The ``numpy`` backend: vectorised einsum / ``as_strided`` fast paths.
+"""The kernel bodies: vectorised einsum / ``as_strided`` paths, sharded on the pool.
 
 These are the "cuDNN primitives" of the reproduction.  Implementation idiom
 (per the session HPC guides): input patch matrices are zero-copy strided
@@ -10,15 +10,68 @@ cache instead of re-searching per call.
 SCC kernels implement all three of the paper's execution strategies behind
 one registered op pair (``scc_forward`` / ``scc_backward``) parameterised by
 ``strategy``; see :mod:`repro.core.scc_kernels` for the paper mapping.
+
+**One kernel set, two registrations.**  Every kernel is written once and
+cuts its work into :func:`~repro.backend.parallel.parallel_map` regions.
+The ``numpy`` backend registers each kernel under
+:func:`~repro.backend.parallel.worker_limit` ``(1)``, so every region is a
+single task run inline in the canonical order;
+:mod:`repro.backend.threaded_backend` registers the same functions with no
+cap, so regions shard over the worker pool (``REPRO_NUM_WORKERS``).  The
+two backends run the same code, so they are bitwise-identical by
+construction.
+
+**Sharding axes.**  Regions are only cut along axes where each task runs
+the *identical* contraction calls on the identical operands and writes
+disjoint outputs, so the bits never depend on the shard count (slicing an
+einsum operand would change the BLAS blocking and perturb the last ulp):
+
+- ``conv2d`` forward / weight-grad shard chunks of **groups**; at
+  ``groups == 1`` the lone contraction is split into **schedule-table
+  tiles** of its contracted axis whose partials combine in the canonical
+  fixed-order pairwise tree (:func:`~repro.backend.plan.combine_partials_tree`).
+  Under ``REPRO_PRECISION=fast`` a region that fans out accumulates the
+  partials in completion order under a lock instead (allclose tier, never
+  bitwise); a region that does not fan out always uses the tree;
+- the ``conv2d`` data-grad tap scatter shards chunks of **disjoint tap
+  lattices**: taps with equal ``(group, i % stride, j % stride)`` write the
+  same strided lattice and different keys never touch the same cell, so
+  lattices run concurrently while each applies its taps in canonical
+  ``(i, j)`` order.  A single lattice (``groups == 1``, ``stride == 1``)
+  computes its tap contractions in worker-sized waves and applies them in
+  canonical order — one tap at a time on one worker;
+- SCC kernels shard chunks of **cycle positions** (each owns the disjoint
+  output interleave ``out[:, p::cd]``); the conv-stack data gradient
+  applies its cross-position contributions in order, in waves like the
+  taps.  The channel-stack gather and both push-style scatters
+  (``np.add.at``) shard over **batch rows**.  The input-centric pull GEMM
+  is tiled over output channels like dense ``conv2d``; only the
+  channel-stack grouped GEMM stays one call (its contraction axis is the
+  group width — too small to tile).
+
+**Stats.**  Counters report *logical* quantities, so totals are the same
+at any shard count and the gpusim crosscheck is backend-invariant.  Tasks
+count through the locked :meth:`~repro.backend.stats.KernelStats.record`;
+logical launch counts and the conflict-fraction arithmetic are recorded
+once by the calling thread, because per-shard ``int()`` rounding of the
+conflict estimate would drift from the single-call value.
 """
 from __future__ import annotations
 
+import functools
+import threading
+
 import numpy as np
 
+from repro.backend.parallel import (
+    fans_out,
+    get_num_workers,
+    parallel_map,
+    shard_slices,
+    worker_limit,
+)
 from repro.backend.plan import (
     Conv2dPlan,
-    EpilogueArgs,
-    FusedConv2dPlan,
     Pool2dPlan,
     SCCPlan,
     combine_partials_tree,
@@ -29,6 +82,7 @@ from repro.backend.schedule import (
     effective_gradw_tile,
     effective_k_tile,
     effective_pull_tile,
+    precision_tier,
     tile_slices,
 )
 from repro.backend.stats import KernelStats, scc_conflict_fraction
@@ -62,50 +116,98 @@ def _pad2d(x: np.ndarray, padding: int, **kwargs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Region helpers
+# ---------------------------------------------------------------------------
+
+def _for_each(body, total: int, op: str) -> None:
+    """``body(i)`` for ``i in range(total)``, one pool task per worker-sized chunk."""
+
+    def run(chunk: slice) -> None:
+        for i in range(chunk.start, chunk.stop):
+            body(i)
+
+    parallel_map(run, shard_slices(total, get_num_workers()), op=op)
+
+
+def _ordered_apply(compute, apply, items, op: str) -> None:
+    """``compute(item)`` on the pool, ``apply(item, result)`` in item order.
+
+    Items run in worker-sized waves: a wave's results are computed
+    concurrently, then applied serially before the next wave starts, so
+    per-cell accumulation order is the serial order.  On one worker each
+    result is applied as soon as it is computed.
+    """
+    items = list(items)
+    size = get_num_workers()
+    for start in range(0, len(items), size):
+        wave = items[start : start + size]
+        for item, result in zip(wave, parallel_map(compute, wave, op=op)):
+            apply(item, result)
+
+
+def _tiled(partial, slices: list, out_shape: tuple, dtype, op: str) -> np.ndarray:
+    """Per-tile partials on the pool, combined per the active precision tier.
+
+    Partials come back in submission order and fold through the canonical
+    fixed-order pairwise tree.  Only a ``fast``-tier region that really
+    fans out accumulates each partial into a shared zeros buffer under a
+    lock, in completion order (allclose tier only).
+    """
+    if precision_tier() == "fast" and fans_out(len(slices)):
+        out = np.zeros(out_shape, dtype=dtype)
+        lock = threading.Lock()
+
+        def run(sl: slice) -> None:
+            part = partial(sl)
+            with lock:
+                np.add(out, part, out=out)
+
+        parallel_map(run, slices, op=op)
+        return out
+    return combine_partials_tree(parallel_map(partial, slices, op=op))
+
+
+# ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------
 
 def dense_fwd_partial(patches: np.ndarray, weight: np.ndarray, sl: slice) -> np.ndarray:
-    """One input-channel tile of the dense forward contraction.
-
-    Shared verbatim by the ``numpy`` and ``threaded`` backends: identical
-    einsum call, identical operand views, path served from the plan cache —
-    the per-tile results are bitwise-equal across backends by construction.
-    """
+    """One input-channel tile of the dense forward contraction."""
     return planned_einsum("nchwij,ocij->nohw", patches[:, sl], weight[:, sl])
 
 
 def dense_gradw_partial(grad: np.ndarray, patches: np.ndarray, sl: slice) -> np.ndarray:
-    """One batch tile of the dense grad-weight contraction (see above)."""
+    """One batch tile of the dense grad-weight contraction."""
     return planned_einsum("nohw,nchwij->ocij", grad[sl], patches[sl])
 
 
 def pull_gemm_partial(grad_out: np.ndarray, w_full: np.ndarray, sl: slice) -> np.ndarray:
-    """One contracted output-channel tile of the SCC pull-GEMM (see above)."""
+    """One contracted output-channel tile of the SCC pull-GEMM."""
     return planned_einsum("nohw,oc->nchw", grad_out[:, sl], w_full[sl])
 
 
 def _dense_forward(plan: Conv2dPlan, patches: np.ndarray, weight: np.ndarray):
-    """Dense (groups == 1) forward: tiled canonical order, serial tiles."""
+    """Dense (groups == 1) forward: input-channel tiles, canonical combine."""
     k_slices = tile_slices(plan.x_shape[1], effective_k_tile(plan.k_tile))
     if len(k_slices) == 1:
         return np.einsum("nchwij,ocij->nohw", patches, weight, optimize=plan.fwd_path)
-    return combine_partials_tree(
-        [dense_fwd_partial(patches, weight, sl) for sl in k_slices]
+    return _tiled(
+        lambda sl: dense_fwd_partial(patches, weight, sl),
+        k_slices, plan.out_shape, weight.dtype, op="conv2d.fwd.ktiles",
     )
 
 
 def _dense_gradw(plan: Conv2dPlan, grad: np.ndarray, patches: np.ndarray):
-    """Dense (groups == 1) grad-weight: batch-tiled canonical order."""
+    """Dense (groups == 1) grad-weight: batch tiles, canonical combine."""
     n_slices = tile_slices(grad.shape[0], effective_gradw_tile(plan.gradw_tile))
     if len(n_slices) == 1:
         return np.einsum("nohw,nchwij->ocij", grad, patches, optimize=plan.gradw_path)
-    return combine_partials_tree(
-        [dense_gradw_partial(grad, patches, sl) for sl in n_slices]
+    return _tiled(
+        lambda sl: dense_gradw_partial(grad, patches, sl),
+        n_slices, plan.w_shape, grad.dtype, op="conv2d.gradw.ntiles",
     )
 
 
-@register_kernel("conv2d", "numpy")
 def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
     kh, kw = plan.kernel
     xp = _pad2d(x, plan.padding)
@@ -114,21 +216,22 @@ def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
     if groups == 1:
         out = _dense_forward(plan, patches, weight)
     else:
-        n, cout = plan.out_shape[0], plan.out_shape[1]
         out = np.empty(plan.out_shape, dtype=x.dtype)
-        og = cout // groups
+        og = plan.out_shape[1] // groups
         cg = plan.x_shape[1] // groups
-        for g in range(groups):
+
+        def run_group(g: int) -> None:
             out[:, g * og : (g + 1) * og] = np.einsum(
                 "nchwij,ocij->nohw",
                 patches[:, g * cg : (g + 1) * cg],
                 weight[g * og : (g + 1) * og],
                 optimize=plan.fwd_path,
             )
+
+        _for_each(run_group, groups, op="conv2d.fwd.groups")
     return out, {"xp": xp, "w": weight}
 
 
-@register_kernel("conv2d_backward", "numpy")
 def conv2d_backward(
     plan: Conv2dPlan,
     ctx: dict,
@@ -148,30 +251,62 @@ def conv2d_backward(
     grad_w = np.zeros_like(weight) if need_weight_grad else None
     grad_xp = np.zeros_like(xp) if need_input_grad else None
 
-    if need_weight_grad and groups == 1:
-        grad_w[:] = _dense_gradw(plan, grad, patches)
+    if need_weight_grad:
+        if groups == 1:
+            grad_w[:] = _dense_gradw(plan, grad, patches)
+        else:
 
-    for g in range(groups):
-        gsl = slice(g * og, (g + 1) * og)
-        csl = slice(g * cg, (g + 1) * cg)
-        gout = grad[:, gsl]
-        if need_weight_grad and groups > 1:
-            grad_w[gsl] = np.einsum(
-                "nohw,nchwij->ocij", gout, patches[:, csl], optimize=plan.gradw_path
+            def run_gradw(g: int) -> None:
+                gsl = slice(g * og, (g + 1) * og)
+                grad_w[gsl] = np.einsum(
+                    "nohw,nchwij->ocij", grad[:, gsl], patches[:, g * cg : (g + 1) * cg],
+                    optimize=plan.gradw_path,
+                )
+
+            _for_each(run_gradw, groups, op="conv2d.gradw.groups")
+
+    if need_input_grad:
+        # The data gradient scatters as KH*KW strided accumulations.
+
+        def tap_contrib(tap: tuple) -> np.ndarray:
+            g, i, j = tap
+            gsl = slice(g * og, (g + 1) * og)
+            return np.einsum(
+                "nohw,oc->nchw", grad[:, gsl], weight[gsl][:, :, i, j],
+                optimize=plan.gradx_path,
             )
-        if need_input_grad:
-            # Scatter the data gradient as KH*KW strided accumulations.
-            wg = weight[gsl]
-            for i in range(kh):
-                for j in range(kw):
-                    contrib = np.einsum(
-                        "nohw,oc->nchw", gout, wg[:, :, i, j], optimize=plan.gradx_path
-                    )
-                    grad_xp[
-                        :, csl,
-                        i : i + ho * stride : stride,
-                        j : j + wo * stride : stride,
-                    ] += contrib
+
+        def tap_apply(tap: tuple, contrib: np.ndarray) -> None:
+            g, i, j = tap
+            grad_xp[
+                :, g * cg : (g + 1) * cg,
+                i : i + ho * stride : stride,
+                j : j + wo * stride : stride,
+            ] += contrib
+
+        def lattice_taps(lattice: tuple) -> list[tuple]:
+            g, a, b = lattice  # canonical (i, j) order within the lattice
+            return [(g, i, j) for i in range(a, kh, stride) for j in range(b, kw, stride)]
+
+        # Disjoint tap lattices: equal (group, i % stride, j % stride) means
+        # the same destination cells; distinct keys never share a cell.
+        lattices = [
+            (g, a, b)
+            for g in range(groups)
+            for a in range(min(stride, kh))
+            for b in range(min(stride, kw))
+        ]
+        if len(lattices) > 1:
+
+            def run_lattice(index: int) -> None:
+                for tap in lattice_taps(lattices[index]):
+                    tap_apply(tap, tap_contrib(tap))
+
+            _for_each(run_lattice, len(lattices), op="conv2d.gradx.tapgroups")
+        else:
+            _ordered_apply(
+                tap_contrib, tap_apply, lattice_taps(lattices[0]), op="conv2d.gradx.taps"
+            )
 
     grad_x = None
     if need_input_grad:
@@ -184,43 +319,10 @@ def conv2d_backward(
     return grad_x, grad_w
 
 
-@register_kernel("conv2d_fused", "numpy")
-def conv2d_fused(
-    fplan: FusedConv2dPlan, x: np.ndarray, weight: np.ndarray, epilogue: EpilogueArgs
-):
-    """Inference-only conv2d with its staged epilogue applied per output
-    slab while it is cache-hot — no intermediate bias/BN/activation tensors
-    are materialized.  Returns the output only (no backward context)."""
-    plan = fplan.base
-    kh, kw = plan.kernel
-    xp = _pad2d(x, plan.padding)
-    patches = _patch_view(xp, kh, kw, plan.stride)
-    groups = plan.groups
-    if groups == 1:
-        out = _dense_forward(plan, patches, weight)
-        epilogue.apply(out)
-    else:
-        n, cout = plan.out_shape[0], plan.out_shape[1]
-        out = np.empty(plan.out_shape, dtype=x.dtype)
-        og = cout // groups
-        cg = plan.x_shape[1] // groups
-        for g in range(groups):
-            gsl = slice(g * og, (g + 1) * og)
-            out[:, gsl] = np.einsum(
-                "nchwij,ocij->nohw",
-                patches[:, g * cg : (g + 1) * cg],
-                weight[gsl],
-                optimize=plan.fwd_path,
-            )
-            epilogue.apply(out[:, gsl], gsl)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Pooling
+# Pooling: memory-bound single-pass kernels, no parallel region
 # ---------------------------------------------------------------------------
 
-@register_kernel("maxpool2d", "numpy")
 def maxpool2d(plan: Pool2dPlan, x: np.ndarray):
     k = plan.kernel
     xp = _pad2d(x, plan.padding, constant_values=-np.inf)
@@ -231,7 +333,6 @@ def maxpool2d(plan: Pool2dPlan, x: np.ndarray):
     return flat.max(axis=-1), {"argmax": argmax}
 
 
-@register_kernel("maxpool2d_backward", "numpy")
 def maxpool2d_backward(plan: Pool2dPlan, ctx: dict, grad: np.ndarray):
     k, stride, padding = plan.kernel, plan.stride, plan.padding
     argmax = ctx["argmax"]
@@ -247,7 +348,6 @@ def maxpool2d_backward(plan: Pool2dPlan, ctx: dict, grad: np.ndarray):
     return gxp
 
 
-@register_kernel("avgpool2d", "numpy")
 def avgpool2d(plan: Pool2dPlan, x: np.ndarray):
     n, c, h, w = x.shape
     k = plan.kernel
@@ -255,7 +355,6 @@ def avgpool2d(plan: Pool2dPlan, x: np.ndarray):
     return out, {}
 
 
-@register_kernel("avgpool2d_backward", "numpy")
 def avgpool2d_backward(plan: Pool2dPlan, ctx: dict, grad: np.ndarray):
     k = plan.kernel
     g = np.repeat(np.repeat(grad, k, axis=2), k, axis=3) * (1.0 / (k * k))
@@ -268,23 +367,42 @@ def avgpool2d_backward(plan: Pool2dPlan, ctx: dict, grad: np.ndarray):
 
 def _count_push_scatter(plan: SCCPlan, stats: KernelStats, total_updates: int) -> None:
     cfg = plan.config
-    stats.scatter_adds += total_updates
     fraction = scc_conflict_fraction(
         cfg.in_channels, cfg.out_channels, cfg.group_width
     )
-    stats.conflicting_scatter_adds += int(total_updates * fraction)
+    stats.record(
+        scatter_adds=total_updates,
+        conflicting_scatter_adds=int(total_updates * fraction),
+    )
 
 
-def _channel_stack_forward(plan, x, w, stats, epilogue=None):
-    # Steps 1-3 of Pytorch-Base: one fancy-index gather == slice+concat of
-    # every window into the (N, Cout, gw, H, W) stacked tensor.
-    stacked = x[:, plan.windows]
-    stats.bytes_materialized += stacked.nbytes
-    stats.gemm_calls += 1
+def _push_scatter(plan: SCCPlan, grad_x: np.ndarray, contrib: np.ndarray, op: str) -> None:
+    """``grad_x[n, windows] += contrib`` with ``np.add.at`` (conflicts serialised),
+    sharded over batch rows."""
+
+    def scatter(sl: slice) -> None:
+        cs = contrib[sl]
+        idx_n = np.arange(cs.shape[0])[:, None, None]
+        np.add.at(grad_x[sl], (idx_n, plan.windows[None, :, :]), cs)
+
+    parallel_map(scatter, shard_slices(contrib.shape[0], get_num_workers()), op=op)
+
+
+def _channel_stack_forward(plan, x, w, stats):
+    # Steps 1-3 of Pytorch-Base: gather every window into the
+    # (N, Cout, gw, H, W) stacked tensor, in the memory layout the fancy
+    # index x[:, windows] produces (window axes outermost).
+    n = x.shape[0]
+    cout, gw = plan.windows.shape
+    stacked = np.empty((cout, gw, n) + x.shape[2:], dtype=x.dtype).transpose(2, 0, 1, 3, 4)
+
+    def gather(sl: slice) -> None:
+        stacked[sl] = x[sl][:, plan.windows]
+
+    parallel_map(gather, shard_slices(n, get_num_workers()), op="scc.channel_stack.gather")
     # Step 4: grouped convolution with groups == Cout.
+    stats.record(bytes_materialized=stacked.nbytes, gemm_calls=1)
     out = planned_einsum("noghw,og->nohw", stacked, w)
-    if epilogue is not None:
-        epilogue.apply(out)
     return out, {"x": x, "w": w, "stacked": stacked}
 
 
@@ -293,34 +411,32 @@ def _channel_stack_backward(plan, saved, grad_out, need_x, need_w, stats):
     grad_x = grad_w = None
     if need_w:
         grad_w = planned_einsum("nohw,noghw->og", grad_out, stacked)
-        stats.gemm_calls += 1
+        stats.record(gemm_calls=1)
     if need_x:
         # Reverse of the concat/extract: scatter the stacked gradient back,
         # with conflicts wherever windows overlap.
         grad_stacked = planned_einsum("nohw,og->noghw", grad_out, w)
-        stats.bytes_materialized += grad_stacked.nbytes
-        stats.gemm_calls += 1
+        stats.record(bytes_materialized=grad_stacked.nbytes, gemm_calls=1)
         grad_x = np.zeros_like(saved["x"])
-        idx_n = np.arange(grad_out.shape[0])[:, None, None]
-        np.add.at(grad_x, (idx_n, plan.windows[None, :, :]), grad_stacked)
+        _push_scatter(plan, grad_x, grad_stacked, op="scc.channel_stack.scatter")
         _count_push_scatter(plan, stats, grad_stacked.size)
     return grad_x, grad_w
 
 
-def _conv_stack_forward(plan, x, w, stats, epilogue=None):
+def _conv_stack_forward(plan, x, w, stats):
     cfg = plan.config
     cd = plan.cyclic_dist
     n, _, h, wdt = x.shape
     out = np.empty((n, cfg.out_channels, h, wdt), dtype=x.dtype)
-    gathered = []
-    for p, idx in enumerate(plan.cycle_index):
-        win = x[:, idx]                               # (N, gw, H, W) copy
-        stats.bytes_materialized += win.nbytes
-        gathered.append(win)
+    gathered: list = [None] * cd
+
+    def run(p: int) -> None:
+        win = x[:, plan.cycle_index[p]]               # (N, gw, H, W) copy
+        gathered[p] = win
         out[:, p::cd] = planned_einsum("nghw,og->nohw", win, w[p::cd])
-        stats.gemm_calls += 1
-        if epilogue is not None:
-            epilogue.apply(out[:, p::cd], slice(p, None, cd))
+        stats.record(bytes_materialized=win.nbytes, gemm_calls=1)
+
+    _for_each(run, cd, op="scc.conv_stack.fwd")
     return out, {"x": x, "w": w, "gathered": gathered}
 
 
@@ -329,52 +445,51 @@ def _conv_stack_backward(plan, saved, grad_out, need_x, need_w, stats):
     w, gathered = saved["w"], saved["gathered"]
     grad_x = np.zeros_like(saved["x"]) if need_x else None
     grad_w = np.empty_like(w) if need_w else None
-    for p, idx in enumerate(plan.cycle_index):
+
+    def compute(p: int):
         g = grad_out[:, p::cd]
         if need_w:
             grad_w[p::cd] = planned_einsum("nohw,nghw->og", g, gathered[p])
-            stats.gemm_calls += 1
+            stats.record(gemm_calls=1)
         if need_x:
             contrib = planned_einsum("nohw,og->nghw", g, w[p::cd])
-            stats.bytes_materialized += contrib.nbytes
-            stats.gemm_calls += 1
-            # Within one cycle position the window channels are distinct, so
-            # a fancy-index += is conflict-free; conflicts across cycle
-            # positions are resolved by this serial per-p loop
-            # (framework-level serialisation, the paper's point about
-            # composed-operator implementations).
-            grad_x[:, idx] += contrib
-            stats.scatter_adds += contrib.size
+            stats.record(bytes_materialized=contrib.nbytes, gemm_calls=1)
+            return contrib
+        return None
+
+    def apply(p: int, contrib: np.ndarray) -> None:
+        # Within one cycle position the window channels are distinct, so a
+        # fancy-index += is conflict-free; conflicts across cycle positions
+        # are resolved by applying positions in order (framework-level
+        # serialisation, the paper's point about composed-operator
+        # implementations).
+        grad_x[:, plan.cycle_index[p]] += contrib
+        stats.record(scatter_adds=contrib.size)
+
+    if need_x:
+        _ordered_apply(compute, apply, range(cd), op="scc.conv_stack.bwd")
+    else:
+        _for_each(compute, cd, op="scc.conv_stack.bwd")
     return grad_x, grad_w
 
 
-def _dsxplore_forward(plan, x, w, stats, epilogue=None):
+def _dsxplore_forward(plan, x, w, stats):
     cfg = plan.config
     cd = plan.cyclic_dist
     n, _, h, wdt = x.shape
     out = np.zeros((n, cfg.out_channels, h, wdt), dtype=x.dtype)
-    for p, segments in enumerate(plan.segments):
+
+    def run(p: int) -> None:
         wp = w[p::cd]
-        for chan_slice, col_slice in segments:
+        for chan_slice, col_slice in plan.segments[p]:
             # x[:, chan_slice] is a view — zero bytes materialised.
             out[:, p::cd] += planned_einsum(
                 "nchw,oc->nohw", x[:, chan_slice], wp[:, col_slice]
             )
-            stats.gemm_calls += 1
-        if epilogue is not None:
-            epilogue.apply(out[:, p::cd], slice(p, None, cd))
+            stats.record(gemm_calls=1)
+
+    _for_each(run, cd, op="scc.dsxplore.fwd")
     return out, {"x": x, "w": w}
-
-
-def _pull_gemm(plan: SCCPlan, grad_out: np.ndarray, w_full: np.ndarray) -> np.ndarray:
-    """The input-centric pull-GEMM, tiled over the contracted output-channel
-    axis in the canonical order (shared partials + fixed pairwise tree)."""
-    o_slices = tile_slices(w_full.shape[0], effective_pull_tile(plan.pull_tile))
-    if len(o_slices) == 1:
-        return planned_einsum("nohw,oc->nchw", grad_out, w_full)
-    return combine_partials_tree(
-        [pull_gemm_partial(grad_out, w_full, sl) for sl in o_slices]
-    )
 
 
 def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_design):
@@ -388,31 +503,42 @@ def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_de
     grad_w = None
     if need_w:
         grad_w = np.empty_like(w)
-        for p, segments in enumerate(plan.segments):
+
+        def run_gradw(p: int) -> None:
             g = grad_out[:, p::cd]
-            for chan_slice, col_slice in segments:
+            for chan_slice, col_slice in plan.segments[p]:
                 grad_w[p::cd, col_slice] = planned_einsum(
                     "nohw,nchw->oc", g, x[:, chan_slice]
                 )
-                stats.gemm_calls += 1
+                stats.record(gemm_calls=1)
+
+        _for_each(run_gradw, cd, op="scc.dsxplore.gradw")
     grad_x = None
     if need_x:
         if backward_design == "input_centric":
             # One dense pull GEMM, zero scatter updates.  The W_full scratch
             # workspace comes from the plan cache (refilled, not rebuilt).
             w_full = plan.w_full(w)
-            stats.bytes_materialized += w_full.nbytes
-            grad_x = _pull_gemm(plan, grad_out, w_full)
-            stats.gemm_calls += 1
+            stats.record(bytes_materialized=w_full.nbytes)
+            o_slices = tile_slices(w_full.shape[0], effective_pull_tile(plan.pull_tile))
+            if len(o_slices) == 1:
+                grad_x = planned_einsum("nohw,oc->nchw", grad_out, w_full)
+            else:
+                grad_x = _tiled(
+                    lambda sl: pull_gemm_partial(grad_out, w_full, sl),
+                    o_slices,
+                    (grad_out.shape[0], w_full.shape[1]) + grad_out.shape[2:],
+                    np.result_type(grad_out.dtype, w_full.dtype),
+                    op="scc.dsxplore.pulltiles",
+                )
+            stats.record(gemm_calls=1)  # one logical pull contraction
             grad_x = grad_x.astype(x.dtype, copy=False)
         else:
             # Output-centric (*DSXplore-Var*): push with serialised conflicts.
             contrib = planned_einsum("nohw,og->noghw", grad_out, w)
-            stats.bytes_materialized += contrib.nbytes
-            stats.gemm_calls += 1
+            stats.record(bytes_materialized=contrib.nbytes, gemm_calls=1)
             grad_x = np.zeros_like(x)
-            idx_n = np.arange(grad_out.shape[0])[:, None, None]
-            np.add.at(grad_x, (idx_n, plan.windows[None, :, :]), contrib)
+            _push_scatter(plan, grad_x, contrib, op="scc.dsxplore.scatter")
             _count_push_scatter(plan, stats, contrib.size)
     return grad_x, grad_w
 
@@ -429,7 +555,6 @@ _BACKWARD = {
 }
 
 
-@register_kernel("scc_forward", "numpy")
 def scc_forward(
     plan: SCCPlan,
     x: np.ndarray,
@@ -437,7 +562,6 @@ def scc_forward(
     *,
     strategy: str = "dsxplore",
     stats: KernelStats | None = None,
-    epilogue: EpilogueArgs | None = None,
 ):
     try:
         fwd = _FORWARD[strategy]
@@ -445,12 +569,9 @@ def scc_forward(
         raise ValueError(
             f"unknown SCC strategy {strategy!r}; available: {sorted(_FORWARD)}"
         ) from None
-    return fwd(
-        plan, x, w, stats if stats is not None else KernelStats(), epilogue=epilogue
-    )
+    return fwd(plan, x, w, stats if stats is not None else KernelStats())
 
 
-@register_kernel("scc_backward", "numpy")
 def scc_backward(
     plan: SCCPlan,
     saved: dict,
@@ -476,3 +597,30 @@ def scc_backward(
             f"{sorted(_BACKWARD) + ['dsxplore']}"
         ) from None
     return bwd(plan, saved, grad_out, need_input_grad, need_weight_grad, stats)
+
+
+#: Every kernel of this module by registry op name.  ``numpy`` registers
+#: each under a one-worker cap (below); ``threaded`` registers them as-is.
+KERNELS = {
+    "conv2d": conv2d,
+    "conv2d_backward": conv2d_backward,
+    "maxpool2d": maxpool2d,
+    "maxpool2d_backward": maxpool2d_backward,
+    "avgpool2d": avgpool2d,
+    "avgpool2d_backward": avgpool2d_backward,
+    "scc_forward": scc_forward,
+    "scc_backward": scc_backward,
+}
+
+
+def _one_worker(kernel):
+    @functools.wraps(kernel)
+    def serial(*args, **kwargs):
+        with worker_limit(1):
+            return kernel(*args, **kwargs)
+
+    return serial
+
+
+for _op, _kernel in KERNELS.items():
+    register_kernel(_op, "numpy")(_one_worker(_kernel))

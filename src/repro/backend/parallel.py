@@ -1,7 +1,8 @@
 """Pluggable execution tiers behind one pooled-parallelism surface.
 
-Every host-parallel consumer in the process — the ``threaded`` kernel
-backend (:mod:`repro.backend.threaded_backend`), the multi-model serving
+Every host-parallel consumer in the process — the kernels of
+:mod:`repro.backend.numpy_backend` (capped to one worker under the
+``numpy`` backend, uncapped under ``threaded``), the multi-model serving
 router's cross-model batch overlap (:meth:`repro.serve.router.Router.flush`)
 and the async gateway's batch offload — funnels through three calls:
 :func:`parallel_map`, :func:`submit_pooled` and :func:`trace_parallel`.
@@ -67,6 +68,7 @@ __all__ = [
     "ShardError",
     "ThreadExecutor",
     "default_num_workers",
+    "fans_out",
     "get_executor",
     "get_num_workers",
     "set_executor",
@@ -248,7 +250,8 @@ def worker_limit(workers: int | None) -> Iterator[None]:
     shards (``1`` runs them inline), while concurrent threads and the pool
     size itself are unaffected.  This is how a plan-recorded ``workers``
     field (:func:`repro.backend.plan_db.tuned_plan`) is applied at dispatch
-    without perturbing unrelated traffic.  ``None`` lifts any enclosing cap.
+    without perturbing unrelated traffic, and how the ``numpy`` backend
+    runs every kernel on one worker.  ``None`` lifts any enclosing cap.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"worker_limit must be >= 1, got {workers}")
@@ -619,6 +622,19 @@ def submit_pooled(fn: Callable[..., Any], /, *args: Any) -> concurrent.futures.F
     return get_executor().submit(fn, *args)
 
 
+def fans_out(tasks: int) -> bool:
+    """Whether :func:`parallel_map` would run a region of ``tasks`` tasks
+    concurrently on the active tier rather than inline, in order, on the
+    calling thread (see :func:`parallel_map` for when it runs inline)."""
+    return (
+        _TRACE_SINK is None
+        and tasks > 1
+        and not getattr(_IN_WORKER, "active", False)
+        and get_num_workers() > 1
+        and not get_executor().serial
+    )
+
+
 def parallel_map(
     fn: Callable[[Any], Any], items: Sequence[Any], op: str = "region"
 ) -> list[Any]:
@@ -655,12 +671,7 @@ def parallel_map(
             results.append(call(index, item))
             trace.task_seconds.append(time.perf_counter() - start)
         return results
-    if (
-        len(tasks) <= 1
-        or getattr(_IN_WORKER, "active", False)
-        or get_num_workers() == 1
-        or get_executor().serial
-    ):
+    if not fans_out(len(tasks)):
         return [call(index, item) for index, item in enumerate(tasks)]
 
     owner = current_plan_owner()

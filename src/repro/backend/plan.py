@@ -267,132 +267,6 @@ def conv2d_plan(
 
 
 # ---------------------------------------------------------------------------
-# Fused plans: staged conv -> bias -> BN-affine -> activation epilogues
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EpilogueSpec:
-    """The *static* shape of a fused epilogue — part of the fused plan key.
-
-    Which stages exist (bias add, eval-mode BN affine, which activation) is
-    static per layer; the parameter *values* arrive per call as an
-    :class:`EpilogueArgs`.
-    """
-
-    bias: bool = False
-    affine: bool = False              # BN eval affine: (x - mean) * scale + beta
-    activation: str | None = None     # None | "relu" | "relu6"
-
-    def __post_init__(self) -> None:
-        if self.activation not in (None, "relu", "relu6"):
-            raise ValueError(
-                f"activation must be None, 'relu' or 'relu6', got "
-                f"{self.activation!r}"
-            )
-
-    @property
-    def stages(self) -> int:
-        """Fused elementwise stages (for the gpusim fusion term)."""
-        return int(self.bias) + int(self.affine) + int(self.activation is not None)
-
-
-@dataclass
-class EpilogueArgs:
-    """Per-call epilogue operands, broadcast-shaped ``(1, C, 1, 1)``.
-
-    :meth:`apply` replays, **in place on an output slab**, exactly the
-    elementwise op sequence the unfused layer stack composes — bias add,
-    then the eval-mode BN affine in its ``(x - mean) * scale + beta`` order,
-    then the activation as the autograd ops compute it (``relu`` is
-    ``x * (x > 0)``; ``relu6`` is the literal ``6 - relu(6 - relu(x))``
-    sequence).  Elementwise ops are bitwise-insensitive to slab
-    partitioning, so fused output == unfused output bit-for-bit.
-    """
-
-    bias: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    scale: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    activation: str | None = None
-
-    def apply(self, out: np.ndarray, ch: slice = slice(None)) -> None:
-        """Apply the epilogue in place to ``out``, an output slab holding
-        the channels selected by ``ch`` (a slice into the full channel
-        axis, matching how the per-channel operands are indexed)."""
-        if self.bias is not None:
-            np.add(out, self.bias[:, ch], out=out)
-        if self.scale is not None:
-            np.subtract(out, self.mean[:, ch], out=out)
-            np.multiply(out, self.scale[:, ch], out=out)
-            np.add(out, self.beta[:, ch], out=out)
-        if self.activation == "relu":
-            np.multiply(out, out > 0, out=out)
-        elif self.activation == "relu6":
-            six = np.asarray(6.0, dtype=out.dtype)
-            np.multiply(out, out > 0, out=out)
-            np.subtract(six, out, out=out)
-            np.multiply(out, out > 0, out=out)
-            np.subtract(six, out, out=out)
-
-    def spec(self) -> EpilogueSpec:
-        return EpilogueSpec(
-            bias=self.bias is not None,
-            affine=self.scale is not None,
-            activation=self.activation,
-        )
-
-
-@dataclass(frozen=True)
-class FusedConv2dPlan:
-    """A conv2d plan that has learned its staged epilogue.
-
-    Distinct cache entries per epilogue shape: a model serving both a fused
-    and an unfused instance of one geometry keeps both plans resident.
-    """
-
-    base: Conv2dPlan
-    spec: EpilogueSpec
-
-    # Execution fields delegate to the base geometry plan: the tuner keys
-    # records by the conv workload, and the fused epilogue is elementwise —
-    # it changes nothing about which backend/width wins.
-    @property
-    def resolved_backend(self) -> str | None:
-        return self.base.resolved_backend
-
-    @property
-    def resolved_workers(self) -> int | None:
-        return self.base.resolved_workers
-
-    @property
-    def resolved_executor(self) -> str | None:
-        return self.base.resolved_executor
-
-
-def conv2d_fused_plan(
-    x_shape: tuple,
-    w_shape: tuple,
-    stride: int,
-    padding: int,
-    groups: int,
-    dtype,
-    spec: EpilogueSpec,
-) -> FusedConv2dPlan:
-    wl = Workload.make(
-        "conv2d_fused", x_shape, w_shape, dtype,
-        stride=stride, padding=padding, groups=groups,
-        bias=spec.bias, affine=spec.affine, activation=spec.activation,
-    )
-    return PLAN_CACHE.get_or_build(
-        wl,
-        lambda: FusedConv2dPlan(
-            base=conv2d_plan(x_shape, w_shape, stride, padding, groups, dtype),
-            spec=spec,
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Pooling plans
 # ---------------------------------------------------------------------------
 

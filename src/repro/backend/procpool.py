@@ -18,8 +18,7 @@ outlive the region that created them.
 with :func:`process_safe` — module-level, importable, pure functions over
 ndarrays/primitives — are ever shipped.  Everything else (closures over
 shared output buffers, bound methods, tasks mutating in-process state:
-i.e. every existing ``threaded``-backend shard and the serving router's
-drain) transparently runs on an in-process
+i.e. every kernel shard and the serving router's drain) transparently runs on an in-process
 :class:`~repro.backend.parallel.ThreadExecutor` lane.  That fallback is the
 bitwise-equality story: under ``REPRO_EXECUTOR=process`` a task either runs
 the *identical* in-process code path, or is a registered pure function
@@ -357,9 +356,8 @@ def _materialize(value: Any) -> Any:
 
 
 # The kernel tile partials are the canonical shippable workloads: pure
-# module-level contractions over (ndarray, ndarray, slice) used identically
-# by the numpy and threaded backends, so their results are bitwise
-# tier-invariant by construction.
+# module-level contractions over (ndarray, ndarray, slice), so their
+# results are bitwise tier-invariant by construction.
 def _register_kernel_partials() -> None:
     from repro.backend import numpy_backend
 

@@ -57,16 +57,12 @@ def scc_forward(
     *,
     strategy: str = "dsxplore",
     stats: KernelStats | None = None,
-    epilogue=None,
 ):
     # All three strategies compute the same function; the reference backend
     # runs the defining equation directly regardless of ``strategy``.
     if stats is not None:
         stats.gemm_calls += plan.config.out_channels
-    out = scc_forward_loops(x, w, plan.windows)
-    if epilogue is not None:
-        epilogue.apply(out)
-    return out, {"x": x, "w": w}
+    return scc_forward_loops(x, w, plan.windows), {"x": x, "w": w}
 
 
 @register_kernel("scc_backward", "reference")

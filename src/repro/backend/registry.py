@@ -8,20 +8,22 @@ names.  Callers dispatch with :func:`get_kernel`:
   tested against;
 - ``"numpy"`` — the vectorised einsum / ``as_strided`` fast paths, fed by
   cached execution plans;
+- ``"threaded"`` — the ``numpy`` kernels with their parallel regions
+  placed on the shared worker pool;
 - ``"default"`` — auto-selects the best available backend (numpy when
   registered, reference otherwise).
 
 The registry is intentionally dumb: a two-level dict plus a preference
 order.  Backends self-register at import time via the
-:func:`register_kernel` decorator, so adding a backend (numba, threaded,
-...) is one new module that never touches call sites.
+:func:`register_kernel` decorator, so adding a backend is one new module
+that never touches call sites.
 """
 from __future__ import annotations
 
 import os
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 #: Auto-selection order for ``backend="default"``.
 DEFAULT_BACKEND_ORDER = ("numpy", "reference")
@@ -64,19 +66,24 @@ def current_backend_override() -> str | None:
 def env_backend_order(
     default_order: tuple[str, ...] = DEFAULT_BACKEND_ORDER,
     env: str | None = None,
+    registered: Iterable[str] | None = None,
 ) -> tuple[str, ...]:
     """The ``default`` preference order, honouring ``REPRO_BACKEND``.
 
-    A set ``REPRO_BACKEND`` (e.g. ``threaded``, ``numba``) is *prepended*
-    to the base order rather than replacing it: resolution falls through to
-    the next registered backend per op, so ``REPRO_BACKEND=numba`` on a
-    host without numba (where the numba module registers nothing) silently
-    selects ``numpy`` instead of failing — an optional accelerator must
-    never break the bare container.
+    A set ``REPRO_BACKEND`` (e.g. ``threaded``) is *prepended* to the base
+    order rather than replacing it: resolution falls through to the next
+    registered backend for ops the named backend does not implement.  When
+    ``registered`` is given, a name outside it is a ``ValueError`` listing
+    the registered backends — a typo must not quietly run ``numpy``.
     """
     name = (os.environ.get("REPRO_BACKEND", "") if env is None else env).strip()
     if not name or name == "default":
         return default_order
+    if registered is not None and name not in registered:
+        raise ValueError(
+            f"REPRO_BACKEND must be 'default' or one of "
+            f"{tuple(sorted(registered))}, got {name!r}"
+        )
     return (name,) + tuple(b for b in default_order if b != name)
 
 
@@ -96,8 +103,9 @@ class KernelRegistry:
 
         return decorator
 
-    def get(self, op: str, backend: str = "default") -> Callable:
-        """Resolve one kernel; raises ``ValueError`` naming the alternatives."""
+    def resolve_name(self, op: str, backend: str = "default") -> str:
+        """The concrete backend name :meth:`get` dispatches ``(op, backend)`` to;
+        raises ``ValueError`` naming the alternatives."""
         try:
             impls = self._kernels[op]
         except KeyError:
@@ -107,29 +115,29 @@ class KernelRegistry:
         if backend in (None, "default"):
             override = current_backend_override()
             if override is not None and override in impls:
-                return impls[override]
+                return override
             for name in self.default_order:
                 if name in impls:
-                    return impls[name]
-            return next(iter(impls.values()))
-        try:
-            return impls[backend]
-        except KeyError:
+                    return name
+            return next(iter(impls))
+        if backend not in impls:
             raise ValueError(
                 f"op {op!r} has no backend {backend!r}; "
                 f"available: {self.backends(op)} (or 'default')"
-            ) from None
+            )
+        return backend
 
-    def resolve_name(self, op: str, backend: str = "default") -> str:
-        """The concrete backend name ``get(op, backend)`` would dispatch to."""
-        fn = self.get(op, backend)
-        for name, impl in self._kernels[op].items():
-            if impl is fn:
-                return name
-        raise AssertionError("unreachable: resolved kernel not in registry")
+    def get(self, op: str, backend: str = "default") -> Callable:
+        """Resolve one kernel; raises ``ValueError`` naming the alternatives."""
+        name = self.resolve_name(op, backend)
+        return self._kernels[op][name]
 
     def backends(self, op: str) -> tuple[str, ...]:
         return tuple(sorted(self._kernels.get(op, {})))
+
+    def backend_names(self) -> tuple[str, ...]:
+        """Every backend at least one op is registered under."""
+        return tuple(sorted({b for impls in self._kernels.values() for b in impls}))
 
     def ops(self) -> tuple[str, ...]:
         return tuple(sorted(self._kernels))

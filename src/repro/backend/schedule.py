@@ -4,8 +4,7 @@ This module is the repo's analog of topi's hand-written per-workload
 schedule tables (``gen_schedule.py`` in topi-intel): a small explicit table
 of tile sizes for the workload classes the benchmarks exercise, with a
 measured-default heuristic for everything else.  The tiles drive the
-**tiled contraction kernels** of :mod:`repro.backend.numpy_backend` /
-:mod:`repro.backend.threaded_backend`:
+**tiled contraction kernels** of :mod:`repro.backend.numpy_backend`:
 
 - ``conv2d`` forward at ``groups == 1`` tiles the **input-channel** axis,
 - ``conv2d`` grad-weight at ``groups == 1`` tiles the **batch** axis,
@@ -14,14 +13,14 @@ measured-default heuristic for everything else.  The tiles drive the
 
 The canonical result of a tiled contraction is defined as the fixed-order
 pairwise-tree combination (:func:`repro.backend.plan.combine_partials_tree`)
-of the per-tile partial products.  Both the ``numpy`` backend (serial tiles)
-and the ``threaded`` backend (tiles on the worker pool) compute exactly this
-order, so results are bitwise-identical on any machine and any
-``REPRO_NUM_WORKERS`` — which is what finally lets a *lone* GEMM scale with
+of the per-tile partial products.  The kernels compute exactly this order
+whether the tiles run serially (``numpy``) or on the worker pool
+(``threaded``), so results are bitwise-identical on any machine and any
+``REPRO_NUM_WORKERS`` — which is what lets a *lone* GEMM scale with
 workers without breaking the bitwise contract.
 
-**Precision tiers.**  ``REPRO_PRECISION`` selects how the threaded backend
-combines tiles:
+**Precision tiers.**  ``REPRO_PRECISION`` selects how a tiled region that
+fans out over the pool combines its tiles:
 
 ``bitwise`` (default)
     partials are combined in the canonical pairwise-tree order; outputs are
@@ -32,8 +31,8 @@ combines tiles:
     the cost of run-to-run reassociation.  Results match the canonical
     order to float tolerance (``allclose``), never bitwise.
 
-The tier only affects the threaded combine; the ``numpy`` backend is always
-canonical.
+The tier only affects regions that really run concurrently; a region that
+runs inline — every region of the ``numpy`` backend — is always canonical.
 
 **Tuned schedules.**  When a persistent plan database is active
 (``REPRO_PLAN_DB``, see :mod:`repro.backend.plan_db`), workloads the

@@ -23,12 +23,11 @@ class KernelStats:
     allocator's behaviour.
 
     **Threading contract.**  Kernels running on a single thread may bump
-    the fields directly (the ``numpy``/``reference`` backends do).  Any
-    concurrent mutation must go through the locked :meth:`record` /
-    :meth:`merge` / :meth:`reset` methods — in practice the ``threaded``
-    backend gives each pooled shard its own private ``KernelStats`` delta
-    and :meth:`merge`\\ s the deltas into the caller's object at join, so
-    totals stay exact (unlocked ``+=`` from worker threads would race and
+    the fields directly (the ``reference`` backend does).  Any concurrent
+    mutation must go through the locked :meth:`record` / :meth:`merge` /
+    :meth:`reset` methods — the :mod:`repro.backend.numpy_backend` kernels
+    count through :meth:`record` from every pool task, so totals stay exact
+    at any shard count (unlocked ``+=`` from worker threads would race and
     lose updates).
     """
 
@@ -57,9 +56,8 @@ class KernelStats:
     def merge(self, other: "KernelStats") -> None:
         """Fold another stats object's counts into this one (atomic here).
 
-        The per-worker-delta join of the ``threaded`` backend: workers
-        mutate only their private delta, so reading ``other`` unlocked is
-        safe by the time the coordinator merges.
+        ``other`` is read unlocked: merge only a delta no thread is still
+        writing.
         """
         self.record(
             other.bytes_materialized,

@@ -109,29 +109,12 @@ class SlidingChannelConv2d(Module):
             self.bias = Parameter(gen.uniform(-bound, bound, size=(out_channels,)).astype(np.float32))
         else:
             self.bias = None
-        # Set by repro.nn.fuse.fuse_inference: absorbed bias/BN/activation
-        # stages applied per cycle-position slab inside the SCC forward.
-        self._fused_epilogue = None
 
     def forward(self, x: Tensor) -> Tensor:
-        ep = self._fused_epilogue
-        if ep is not None:
-            return self._forward_fused(x, ep)
         out = SCCFunction.apply(x, self.weight, strategy=self.strategy)
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         return out
-
-    def _forward_fused(self, x: Tensor, ep) -> Tensor:
-        from repro.tensor.tensor import is_grad_enabled
-
-        if not self.training and not is_grad_enabled():
-            out = self.strategy.forward(
-                x.data, self.weight.data, epilogue=ep.kernel_args()
-            )
-            return Tensor(out)
-        out = SCCFunction.apply(x, self.weight, strategy=self.strategy)
-        return ep.apply_composed(out)
 
     @property
     def cyclic_dist(self) -> int:

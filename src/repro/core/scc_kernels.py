@@ -109,18 +109,15 @@ class _StrategyBase:
                 f"expected weight ({cfg.out_channels}, {cfg.group_width}), got {w.shape}"
             )
 
-    def forward(self, x: np.ndarray, w: np.ndarray, epilogue=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self._check_shapes(x, w)
         self.stats.reset()
-        # The kwarg is passed only when set, so backends (or test doubles)
-        # with the pre-fusion signature keep working unfused.
-        kwargs = {} if epilogue is None else {"epilogue": epilogue}
         # Strategies bind their kernel at construction, so only the plan's
         # tuned worker count applies here (apply_backend=False): a recorded
         # backend cannot re-steer an already-resolved kernel.
         with dispatch_plan(self.plan, apply_backend=False):
             out, self._saved = self._forward_kernel(
-                self.plan, x, w, strategy=self.name, stats=self.stats, **kwargs
+                self.plan, x, w, strategy=self.name, stats=self.stats
             )
         return out
 

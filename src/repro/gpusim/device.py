@@ -49,12 +49,7 @@ class DeviceSpec:
     # overhead per combine level (fit to the bench_tiled_gemm tile sweep:
     # the 4-tile schedule-table workloads model ~1.7x @ 2 and ~2.4-2.9x @
     # 4 workers).
-    # fusion_stage_discount is the relative time a staged epilogue
-    # (bias/BN/activation applied while the output tile is cache-hot) saves
-    # per absorbed stage versus materialising each elementwise op as its
-    # own framework pass.
     tile_combine_overhead: float = 0.025
-    fusion_stage_discount: float = 0.05
     # Process-tier (multi-process sharded execution) terms: worker processes
     # escape the GIL entirely, so python-bound work scales by lane count
     # rather than by numpy's GIL-release windows — but every request/result
@@ -135,14 +130,6 @@ class DeviceSpec:
             raise ValueError(f"processes must be positive, got {processes}")
         s = self.host_process_serial_fraction
         return max(1.0, 1.0 / (s + (1.0 - s) / processes))
-
-    def fused_epilogue_speedup(self, stages: int) -> float:
-        """Relative speedup of folding ``stages`` elementwise epilogue ops
-        (bias add, BN affine, activation) into the producing kernel versus
-        running each as its own framework-composed pass."""
-        if stages < 0:
-            raise ValueError(f"stages must be non-negative, got {stages}")
-        return 1.0 + self.fusion_stage_discount * stages
 
     def batching_queue_wait(
         self, arrival_rate: float, bucket: int, max_wait: float

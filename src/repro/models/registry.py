@@ -94,7 +94,7 @@ def build_model(
 
 
 def build_serving_model(
-    name: str, seed: int = 0, fuse: bool = True, **kwargs
+    name: str, seed: int = 0, **kwargs
 ) -> nn.Module:
     """Deterministic eval-mode model for the multi-model serving router.
 
@@ -105,13 +105,6 @@ def build_serving_model(
     ``kwargs`` pass through to :func:`build_model`; ``plan_backward``
     defaults to ``False`` because serving never runs a backward pass.
 
-    ``fuse=True`` (the default) runs :func:`repro.nn.fuse_inference` on the
-    eval-mode model, absorbing bias/BN/activation stages into staged kernel
-    epilogues — bitwise-identical outputs, fewer materialized
-    intermediates.  Fusion happens *before* any ``plan_input_shape``
-    pre-building so the :class:`~repro.backend.ModelPlan` warmup makes the
-    fused plans cache-resident.  The count lands on ``model.fused_layers``.
-
     :meth:`repro.serve.Router.register` calls this when handed a registry
     name instead of a built module.
     """
@@ -121,7 +114,6 @@ def build_serving_model(
     plan_batch_size = kwargs.pop("plan_batch_size", 1)
     plan_backward = kwargs.pop("plan_backward")
     model = build_model(name, **kwargs).eval()
-    model.fused_layers = nn.fuse_inference(model) if fuse else 0
     if plan_input_shape is not None:
         from repro.backend import ModelPlan
 

@@ -20,13 +20,9 @@ from repro.nn.layers import (
     Dropout,
     Identity,
 )
-from repro.nn.fuse import FusedEpilogue, count_fused, fuse_inference
 from repro.nn import functional, init
 
 __all__ = [
-    "FusedEpilogue",
-    "count_fused",
-    "fuse_inference",
     "Module",
     "Parameter",
     "Sequential",

@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import get_kernel
-from repro.backend.plan import conv2d_fused_plan
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor
 from repro.tensor import conv_ops
-from repro.tensor.tensor import is_grad_enabled
 
 
 class Conv2d(Module):
@@ -57,14 +54,8 @@ class Conv2d(Module):
             self.bias = Parameter(init.uniform_bias((out_channels,), fan_in, rng=rng))
         else:
             self.bias = None
-        # Set by repro.nn.fuse.fuse_inference: absorbed bias/BN/activation
-        # stages applied as a staged kernel epilogue on the inference path.
-        self._fused_epilogue = None
 
     def forward(self, x: Tensor) -> Tensor:
-        ep = self._fused_epilogue
-        if ep is not None:
-            return self._forward_fused(x, ep)
         out = conv_ops.Conv2d.apply(
             x, self.weight, stride=self.stride, padding=self.padding,
             groups=self.groups, backend=self.backend,
@@ -72,24 +63,6 @@ class Conv2d(Module):
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         return out
-
-    def _forward_fused(self, x: Tensor, ep) -> Tensor:
-        if not self.training and not is_grad_enabled():
-            try:
-                kernel = get_kernel("conv2d_fused", self.backend)
-            except ValueError:
-                kernel = None  # backend without a fused kernel: compose below
-            if kernel is not None:
-                fplan = conv2d_fused_plan(
-                    x.shape, self.weight.shape, self.stride, self.padding,
-                    self.groups, x.data.dtype, ep.spec(),
-                )
-                return Tensor(kernel(fplan, x.data, self.weight.data, ep.kernel_args()))
-        out = conv_ops.Conv2d.apply(
-            x, self.weight, stride=self.stride, padding=self.padding,
-            groups=self.groups, backend=self.backend,
-        )
-        return ep.apply_composed(out)
 
     def __repr__(self) -> str:
         return (

@@ -101,18 +101,11 @@ class ModelExecutor:
         bucket_sizes: tuple[int, ...] = (1, 2, 4, 8),
         name: str | None = None,
         degrade_after: int | None = None,
-        degrade_chain: tuple[str, ...] = ("numba", "threaded", "numpy"),
+        degrade_chain: tuple[str, ...] = ("threaded", "numpy"),
     ) -> None:
         self.model = model.eval()
         self.name = name
         self.bucket_sizes = tuple(sorted(set(bucket_sizes)))
-        # Layers dispatching through fused conv->bias/BN->activation
-        # epilogues (repro.nn.fuse_inference); surfaced in serving metrics.
-        self.fused_layers = sum(
-            1
-            for _, m in self.model.named_modules()
-            if getattr(m, "_fused_epilogue", None) is not None
-        )
         self.exec_lock = threading.Lock()
         # Graceful degradation ladder: after `degrade_after` consecutive
         # non-poison kernel faults on one (shape, bucket) workload, demote

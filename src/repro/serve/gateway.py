@@ -441,7 +441,6 @@ class AsyncGateway:
                 rejected=stats["rejected"],
                 shed=stats["shed_deadline"],
                 exec_seconds_total=sum(runtime.exec_seconds),
-                fused_layers=runtime.executor.fused_layers,
                 shed_deadline=stats["shed_deadline"],
                 deadline_misses=runtime.deadline_misses,
                 deadline_miss_rate=runtime.deadline_misses / runtime.deadline_total

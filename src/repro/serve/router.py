@@ -90,7 +90,6 @@ class RouterMetrics:
     cache_evictions: int          # global evictions over the window
     per_model: dict[str, ServingMetrics]
     per_model_cache: dict[str, dict]
-    fused_layers: int = 0         # summed fused-epilogue layers across models
     shed_deadline: int = 0        # deadline-policy sheds across all models
     deadline_misses: int = 0      # completions past their deadline, all models
     failed: int = 0               # RequestFailed terminal failures, all models
@@ -345,7 +344,6 @@ class Router:
             cache_evictions=cache["evictions"] - self._cache_base["evictions"],
             per_model=per_model,
             per_model_cache=per_model_cache,
-            fused_layers=sum(m.fused_layers for m in per_model.values()),
             shed_deadline=sum(m.shed_deadline for m in per_model.values()),
             deadline_misses=sum(m.deadline_misses for m in per_model.values()),
             failed=sum(m.failed for m in per_model.values()),

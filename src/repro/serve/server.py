@@ -163,7 +163,6 @@ class ServingMetrics:
     rejected: int = 0            # submits refused by admission control
     shed: int = 0                # pending requests dropped by stop(drain=False)
     exec_seconds_total: float = 0.0  # summed batch execution time (busy time)
-    fused_layers: int = 0        # layers serving through fused epilogue plans
     shed_deadline: int = 0       # requests dropped with their budget blown
     deadline_misses: int = 0     # completed past their deadline
     deadline_miss_rate: float = 0.0  # misses / completions that had deadlines
@@ -243,7 +242,6 @@ class Server:
             degrade_after=self.config.degrade_after,
         )
         self.model = self._engine.model
-        self.fused_layers = self._engine.fused_layers
         self._plans = self._engine._plans           # legacy alias
         self._exec_lock = self._engine.exec_lock    # legacy alias
         # Policy objects from the scheduling core (transport-agnostic).
@@ -367,7 +365,6 @@ class Server:
                 rejected=self._rejected,
                 shed=self._shed,
                 exec_seconds_total=sum(self._exec_seconds),
-                fused_layers=self.fused_layers,
                 shed_deadline=self._shed_deadline,
                 deadline_misses=self._deadline_misses,
                 deadline_miss_rate=self._deadline_misses / self._deadline_total

@@ -21,9 +21,9 @@ count without re-running anything:
 - ``numpy`` (serial canonical tiles): the traced serial wall;
 - ``threaded`` at ``w`` workers: time outside parallel regions plus the
   LPT :func:`~repro.backend.parallel.makespan` of each region's recorded
-  tasks on ``w`` lanes;
-- ``numba`` (when the op has a registered numba kernel): measured wall
-  after a JIT warmup run.
+  tasks on ``w`` lanes.  The trace runs at the widest modelled worker
+  count, so regions that cut one task per worker cut enough tasks for
+  every count.
 
 This is the same measure-serially/model-the-parallel-schedule move
 ``bench_backend_scaling`` makes, and it is what keeps tuning results
@@ -61,13 +61,17 @@ import numpy as np
 
 from repro.backend import (
     KernelStats,
-    available_backends,
     conv2d_plan,
     get_kernel,
     scc_plan,
     tile_override,
 )
-from repro.backend.parallel import default_num_workers, makespan, trace_parallel
+from repro.backend.parallel import (
+    default_num_workers,
+    makespan,
+    num_workers,
+    trace_parallel,
+)
 from repro.backend.plan_db import PlanDatabase, env_stamp
 from repro.backend.schedule import (
     CONV_SCHEDULES,
@@ -151,14 +155,17 @@ def _worker_candidates(target: int) -> list[int]:
     return sorted(ws)
 
 
-def _measure_combo(run, tiles: dict, repeats: int) -> tuple[float, list, float]:
-    """Trace one tile combination serially; return (wall, regions, outside).
+def _measure_combo(
+    run, tiles: dict, workers: int, repeats: int
+) -> tuple[float, list, float]:
+    """Trace one tile combination serially, its regions cut for ``workers``;
+    return (wall, regions, outside).
 
     Best-of-``repeats`` by serial wall: the least-interfered-with run is
     the cleanest estimate of true per-task cost on a shared host.
     """
     best = None
-    with tile_override(**tiles):
+    with tile_override(**tiles), num_workers(workers):
         for _ in range(repeats):
             with trace_parallel() as regions:
                 start = time.perf_counter()
@@ -196,24 +203,15 @@ def _sweep(
 
     candidates: list[Candidate] = []
     for tiles in combos:
-        wall, regions, outside = _measure_combo(run, tiles, repeats)
+        wall, regions, outside = _measure_combo(
+            run, tiles, max(worker_cands, default=1), repeats
+        )
         candidates.append(Candidate("numpy", 1, tiles, wall))
         for w in worker_cands:
             modeled = outside + sum(
                 makespan(r.task_seconds, w) for r in regions
             )
             candidates.append(Candidate("threaded", w, tiles, modeled))
-
-    if "numba" in available_backends(op):
-        # JIT backends ignore schedule tiles; measure the compiled wall
-        # (first run pays compilation and is discarded).
-        run("numba")
-        start = time.perf_counter()
-        run("numba")
-        candidates.append(
-            Candidate("numba", 1, dict(static_tiles),
-                      time.perf_counter() - start)
-        )
 
     best = min(candidates, key=lambda c: c.score_s)
     static = min(

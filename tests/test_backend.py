@@ -10,6 +10,7 @@ from repro.backend import (
     contraction_path,
     conv2d_plan,
     get_kernel,
+    num_workers,
     plan_cache_stats,
     planned_einsum,
     pool2d_plan,
@@ -42,7 +43,7 @@ def test_registry_has_reference_and_numpy_for_every_op():
 
     for op in CORE_OPS:
         assert op in REGISTRY.ops()
-        # Superset, not equality: additional backends (numba, threaded, ...)
+        # Superset, not equality: additional backends (threaded, ...)
         # must be registrable without touching this test.
         assert {"numpy", "reference"} <= set(available_backends(op)), op
 
@@ -62,6 +63,40 @@ def test_default_backend_follows_preference_order():
             # Without an env override the default is the numpy fast path.
             assert REGISTRY.resolve_name(op, "default") == "numpy"
             assert get_kernel(op) is get_kernel(op, "numpy")
+
+
+def test_resolve_name_returns_the_backend_the_lookup_chose():
+    from repro.backend import REGISTRY, backend_override
+
+    # Every explicitly named backend resolves to itself — including
+    # backends that register the very same callable as another.
+    for op in REGISTRY.ops():
+        for backend in REGISTRY.backends(op):
+            assert REGISTRY.resolve_name(op, backend) == backend, (op, backend)
+            assert get_kernel(op, backend) is REGISTRY._kernels[op][backend]
+    for op in CORE_OPS:
+        expected = next(
+            name for name in REGISTRY.default_order
+            if name in REGISTRY.backends(op)
+        )
+        assert REGISTRY.resolve_name(op) == expected
+        assert REGISTRY.resolve_name(op, "default") == expected
+        with backend_override("threaded"):
+            assert REGISTRY.resolve_name(op) == "threaded"
+            # An explicit name still wins over the override.
+            assert REGISTRY.resolve_name(op, "reference") == "reference"
+        with backend_override("reference"):
+            assert REGISTRY.resolve_name(op, "default") == "reference"
+
+    reg = KernelRegistry()
+    reg.register("op", "numpy")(lambda: "np")
+    reg.register("op", "threaded")(reg.get("op", "numpy"))   # shared callable
+    assert reg.resolve_name("op", "threaded") == "threaded"
+    assert reg.resolve_name("op") == "numpy"
+    with backend_override("gpu"):            # absent: falls through the order
+        assert reg.resolve_name("op") == "numpy"
+    with pytest.raises(ValueError, match="no backend 'gpu'"):
+        reg.resolve_name("op", "gpu")
 
 
 def test_registry_unknown_op_and_backend_rejected():
@@ -143,70 +178,96 @@ def test_planned_einsum_matches_numpy():
 
 
 # ---------------------------------------------------------------------------
-# Reference backend == numpy backend
+# Reference backend == numpy and threaded backends
 # ---------------------------------------------------------------------------
 
+#: Fast backends checked against the reference oracle.  numpy and threaded
+#: run the same kernel bodies, so bitwise tests between them cannot catch a
+#: wrong shard placement; these loops check the sharded runs independently.
+ORACLE_BACKENDS = ("numpy", "threaded")
+
+
+@pytest.fixture
+def three_workers():
+    """Shard the threaded runs three ways, restoring the ambient pool size."""
+    with num_workers(3):
+        yield
+
+
+@pytest.mark.usefixtures("three_workers")
 @pytest.mark.parametrize("stride,padding,groups", [(1, 1, 1), (2, 1, 2), (1, 0, 4)])
 def test_conv2d_backends_agree(stride, padding, groups):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
     w = rng.standard_normal((4, 4 // groups, 3, 3)).astype(np.float32)
     plan = conv2d_plan(x.shape, w.shape, stride, padding, groups, x.dtype)
-    out_np, ctx_np = get_kernel("conv2d", "numpy")(plan, x, w)
     out_ref, ctx_ref = get_kernel("conv2d", "reference")(plan, x, w)
-    np.testing.assert_allclose(out_np, out_ref, atol=1e-5)
-
-    grad = rng.standard_normal(out_np.shape).astype(np.float32)
-    gx_np, gw_np = get_kernel("conv2d_backward", "numpy")(plan, ctx_np, grad)
+    grad = rng.standard_normal(out_ref.shape).astype(np.float32)
     gx_ref, gw_ref = get_kernel("conv2d_backward", "reference")(plan, ctx_ref, grad)
-    np.testing.assert_allclose(gx_np, gx_ref, atol=1e-4)
-    np.testing.assert_allclose(gw_np, gw_ref, rtol=1e-3, atol=1e-4)
+    for backend in ORACLE_BACKENDS:
+        out, ctx = get_kernel("conv2d", backend)(plan, x, w)
+        np.testing.assert_allclose(out, out_ref, atol=1e-5, err_msg=backend)
+        gx, gw = get_kernel("conv2d_backward", backend)(plan, ctx, grad)
+        np.testing.assert_allclose(gx, gx_ref, atol=1e-4, err_msg=backend)
+        np.testing.assert_allclose(gw, gw_ref, rtol=1e-3, atol=1e-4, err_msg=backend)
 
 
+@pytest.mark.usefixtures("three_workers")
 @pytest.mark.parametrize("kernel,stride,padding", [(2, 2, 0), (3, 2, 1), (3, 1, 0)])
 def test_maxpool_backends_agree(kernel, stride, padding):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
     plan = pool2d_plan("max", x.shape, kernel, stride, padding, x.dtype)
-    out_np, ctx_np = get_kernel("maxpool2d", "numpy")(plan, x)
     out_ref, ctx_ref = get_kernel("maxpool2d", "reference")(plan, x)
-    np.testing.assert_allclose(out_np, out_ref)
-    grad = rng.standard_normal(out_np.shape).astype(np.float32)
-    np.testing.assert_allclose(
-        get_kernel("maxpool2d_backward", "numpy")(plan, ctx_np, grad),
-        get_kernel("maxpool2d_backward", "reference")(plan, ctx_ref, grad),
-    )
+    grad = rng.standard_normal(out_ref.shape).astype(np.float32)
+    gx_ref = get_kernel("maxpool2d_backward", "reference")(plan, ctx_ref, grad)
+    for backend in ORACLE_BACKENDS:
+        out, ctx = get_kernel("maxpool2d", backend)(plan, x)
+        np.testing.assert_allclose(out, out_ref, err_msg=backend)
+        np.testing.assert_allclose(
+            get_kernel("maxpool2d_backward", backend)(plan, ctx, grad), gx_ref,
+            err_msg=backend,
+        )
 
 
+@pytest.mark.usefixtures("three_workers")
 def test_avgpool_backends_agree():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
     plan = pool2d_plan("avg", x.shape, 2, 2, 0, x.dtype)
-    out_np, _ = get_kernel("avgpool2d", "numpy")(plan, x)
     out_ref, _ = get_kernel("avgpool2d", "reference")(plan, x)
-    np.testing.assert_allclose(out_np, out_ref, atol=1e-6)
-    grad = rng.standard_normal(out_np.shape).astype(np.float32)
-    np.testing.assert_allclose(
-        get_kernel("avgpool2d_backward", "numpy")(plan, {}, grad),
-        get_kernel("avgpool2d_backward", "reference")(plan, {}, grad),
-        atol=1e-6,
-    )
+    grad = rng.standard_normal(out_ref.shape).astype(np.float32)
+    gx_ref = get_kernel("avgpool2d_backward", "reference")(plan, {}, grad)
+    for backend in ORACLE_BACKENDS:
+        out, _ = get_kernel("avgpool2d", backend)(plan, x)
+        np.testing.assert_allclose(out, out_ref, atol=1e-6, err_msg=backend)
+        np.testing.assert_allclose(
+            get_kernel("avgpool2d_backward", backend)(plan, {}, grad), gx_ref,
+            atol=1e-6, err_msg=backend,
+        )
 
 
+@pytest.mark.usefixtures("three_workers")
 @pytest.mark.parametrize("strategy", ["channel_stack", "conv_stack", "dsxplore"])
 def test_scc_reference_backend_matches_numpy(strategy):
     cfg = SCCConfig(8, 12, 2, 0.5)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
     w = rng.standard_normal((12, 4)).astype(np.float32)
-    fast = make_strategy(strategy, cfg, backend="numpy")
-    slow = make_strategy(strategy, cfg, backend="reference")
-    np.testing.assert_allclose(slow.forward(x, w), fast.forward(x, w), atol=1e-5)
     grad = rng.standard_normal((2, 12, 3, 3)).astype(np.float32)
-    gx_f, gw_f = fast.backward(grad)
-    gx_s, gw_s = slow.backward(grad)
-    np.testing.assert_allclose(gx_s, gx_f, rtol=1e-3, atol=1e-4)
-    np.testing.assert_allclose(gw_s, gw_f, rtol=1e-3, atol=1e-4)
+    designs = ("input_centric", "output_centric") if strategy == "dsxplore" else (None,)
+    for design in designs:
+        kwargs = {} if design is None else {"backward_design": design}
+        slow = make_strategy(strategy, cfg, backend="reference", **kwargs)
+        out_s = slow.forward(x, w)
+        gx_s, gw_s = slow.backward(grad)
+        for backend in ORACLE_BACKENDS:
+            fast = make_strategy(strategy, cfg, backend=backend, **kwargs)
+            msg = f"{backend} {design}"
+            np.testing.assert_allclose(out_s, fast.forward(x, w), atol=1e-5, err_msg=msg)
+            gx_f, gw_f = fast.backward(grad)
+            np.testing.assert_allclose(gx_s, gx_f, rtol=1e-3, atol=1e-4, err_msg=msg)
+            np.testing.assert_allclose(gw_s, gw_f, rtol=1e-3, atol=1e-4, err_msg=msg)
 
 
 # ---------------------------------------------------------------------------

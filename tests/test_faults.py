@@ -15,7 +15,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.backend import ShardError, parallel_map, submit_pooled
+from repro.backend import REGISTRY, ShardError, parallel_map, submit_pooled
 from repro.faults import (
     FaultInjector,
     FaultSpec,
@@ -279,10 +279,12 @@ def test_retry_exhaustion_without_isolation_fails_whole_batch():
 # Graceful degradation down the backend chain
 # ---------------------------------------------------------------------------
 
-def test_repeated_kernel_faults_demote_workload_and_recover():
+def test_repeated_kernel_faults_demote_workload_and_recover(monkeypatch):
     # "numpy is broken": faults fire only while the resolved backend is
     # numpy, so demoting the workload to the threaded backend (bitwise
     # numpy sharded on the pool) makes them stop — observable recovery.
+    # The scenario starts on numpy whatever REPRO_BACKEND selects.
+    monkeypatch.setattr(REGISTRY, "default_order", ("numpy", "reference"))
     executor = ModelExecutor(
         _model(), input_shapes=[INPUT], bucket_sizes=(2,),
         degrade_after=2, degrade_chain=("numpy", "threaded"),

@@ -342,3 +342,18 @@ def test_router_forwards_deadlines_and_aggregates_slo_metrics():
     assert metrics.shed_deadline == 1
     assert metrics.deadline_misses == 0
     assert metrics.per_model["narrow"].shed_deadline == 1
+
+
+def test_router_sets_cache_owner_floor():
+    previous_floor = PLAN_CACHE.owner_floor
+    try:
+        Router(server_config=ServerConfig(bucket_sizes=(1,), max_latency=60.0),
+               cache_owner_floor=2)
+        assert PLAN_CACHE.owner_floor == 2
+    finally:
+        PLAN_CACHE.owner_floor = previous_floor
+
+
+def test_router_rejects_negative_owner_floor():
+    with pytest.raises(ValueError, match="cache_owner_floor"):
+        Router(cache_owner_floor=-1)
