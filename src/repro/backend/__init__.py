@@ -151,7 +151,7 @@ from repro.backend import threaded_backend as _threaded_backend  # noqa: F401
 # REPRO_BACKEND overrides the "default" preference order; a name no kernel
 # is registered under is rejected.  Applied after registration so the
 # check sees every backend.
-REGISTRY.default_order = env_backend_order(registered=REGISTRY.backend_names())
+REGISTRY.default_order = env_backend_order()
 
 __all__ = [
     "REGISTRY",

@@ -19,7 +19,9 @@ single task run inline in the canonical order;
 :mod:`repro.backend.threaded_backend` registers the same functions with no
 cap, so regions shard over the worker pool (``REPRO_NUM_WORKERS``).  The
 two backends run the same code, so they are bitwise-identical by
-construction.
+construction.  A failure inside a region therefore surfaces as
+:class:`~repro.backend.parallel.ShardError` on both backends, naming the
+region and shard, with the original exception as ``__cause__``.
 
 **Sharding axes.**  Regions are only cut along axes where each task runs
 the *identical* contraction calls on the identical operands and writes

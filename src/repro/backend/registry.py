@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 #: Auto-selection order for ``backend="default"``.
 DEFAULT_BACKEND_ORDER = ("numpy", "reference")
@@ -66,23 +66,24 @@ def current_backend_override() -> str | None:
 def env_backend_order(
     default_order: tuple[str, ...] = DEFAULT_BACKEND_ORDER,
     env: str | None = None,
-    registered: Iterable[str] | None = None,
 ) -> tuple[str, ...]:
     """The ``default`` preference order, honouring ``REPRO_BACKEND``.
 
     A set ``REPRO_BACKEND`` (e.g. ``threaded``) is *prepended* to the base
     order rather than replacing it: resolution falls through to the next
-    registered backend for ops the named backend does not implement.  When
-    ``registered`` is given, a name outside it is a ``ValueError`` listing
-    the registered backends — a typo must not quietly run ``numpy``.
+    registered backend for ops the named backend does not implement.  A
+    name no kernel in :data:`REGISTRY` is registered under is a
+    ``ValueError`` listing the registered backends — a typo must not
+    quietly run ``numpy``.  Call it after the backend modules registered.
     """
     name = (os.environ.get("REPRO_BACKEND", "") if env is None else env).strip()
     if not name or name == "default":
         return default_order
-    if registered is not None and name not in registered:
+    registered = REGISTRY.backend_names()
+    if name not in registered:
         raise ValueError(
-            f"REPRO_BACKEND must be 'default' or one of "
-            f"{tuple(sorted(registered))}, got {name!r}"
+            f"REPRO_BACKEND must be 'default' or one of {registered}, "
+            f"got {name!r}"
         )
     return (name,) + tuple(b for b in default_order if b != name)
 

@@ -405,8 +405,9 @@ def test_env_backend_order_prepends_and_falls_through():
     assert env_backend_order(env="") == ("numpy", "reference")
     assert env_backend_order(env="default") == ("numpy", "reference")
     assert env_backend_order(env="threaded") == ("threaded", "numpy", "reference")
-    assert env_backend_order(env="numba") == ("numba", "numpy", "reference")
     assert env_backend_order(env="numpy") == ("numpy", "reference")
+    with pytest.raises(ValueError, match=r"one of \('numpy', 'reference', 'threaded'\), got 'numba'"):
+        env_backend_order(env="numba")
 
 
 def _run_resolve(extra_env: dict) -> subprocess.CompletedProcess:

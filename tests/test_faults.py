@@ -613,6 +613,21 @@ def test_parallel_map_pooled_path_names_the_failing_shard():
     assert "slice" not in str(exc_info.value)    # plain item: repr'd directly
 
 
+def test_numpy_kernel_failure_in_a_group_region_surfaces_as_shard_error():
+    from repro.backend import conv2d_plan, get_kernel
+
+    x = np.zeros((1, 4, 5, 5), dtype=np.float32)
+    plan = conv2d_plan(x.shape, (4, 2, 3, 3), 1, 1, 2, x.dtype)
+    bad_weight = np.zeros((4, 3, 3, 3), dtype=np.float32)  # 3 != 4 // groups
+    # The numpy backend runs its kernels as one-worker parallel_map regions,
+    # so even the serial path attributes the failure to the group region.
+    with pytest.raises(ShardError) as exc_info:
+        get_kernel("conv2d", "numpy")(plan, x, bad_weight)
+    err = exc_info.value
+    assert err.op == "conv2d.fwd.groups" and err.shard == 0
+    assert isinstance(err.__cause__, ValueError)
+
+
 def test_pool_submit_fault_fires_once_then_recovers():
     inj = FaultInjector([FaultSpec(site="pool_submit", rate=1.0, max_fires=1)])
     with use_faults(inj):
