@@ -28,7 +28,16 @@ the *identical* contraction calls on the identical operands and writes
 disjoint outputs, so the bits never depend on the shard count (slicing an
 einsum operand would change the BLAS blocking and perturb the last ulp):
 
-- ``conv2d`` forward / weight-grad shard chunks of **groups**; at
+- **depthwise** ``conv2d`` (one input and one output channel per group)
+  is a clipped tap-accumulate kernel with no padded copies: each tap
+  multiply-accumulates only the output cells whose input lands inside the
+  unpadded ``x``, in canonical ``(i, j)`` order.  The forward and the data
+  gradient shard chunks of **channels** (the same elementwise ops in the
+  same order as the ``reference`` loops, so both are bitwise-equal to
+  them); the weight gradient shards **taps**, each task reducing one tap
+  over all channels (a channel-sliced reduction would change its
+  reduction path with the shard width);
+- other ``conv2d`` forward / weight-grad shard chunks of **groups**; at
   ``groups == 1`` the lone contraction is split into **schedule-table
   tiles** of its contracted axis whose partials combine in the canonical
   fixed-order pairwise tree (:func:`~repro.backend.plan.combine_partials_tree`).
@@ -210,7 +219,106 @@ def _dense_gradw(plan: Conv2dPlan, grad: np.ndarray, patches: np.ndarray):
     )
 
 
+def _is_depthwise(plan: Conv2dPlan) -> bool:
+    """One input and one output channel per group: ``w_shape == (C, 1, kh, kw)``."""
+    cout, cin_g = plan.w_shape[:2]
+    return cin_g == 1 and cout == plan.groups
+
+
+def _clip(tap: int, size_in: int, size_out: int, stride: int, padding: int):
+    """(output slice, input slice) of one tap along one axis, or ``None``.
+
+    Output index ``o`` reads input ``o * stride + tap - padding``; only the
+    outputs whose input lands inside the unpadded extent are kept.
+    """
+    lo = max(0, -((tap - padding) // stride))
+    hi = min(size_out, (size_in - 1 + padding - tap) // stride + 1)
+    if hi <= lo:
+        return None
+    start = lo * stride + tap - padding
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
+@functools.lru_cache(maxsize=256)
+def _clipped_taps(in_hw: tuple, out_hw: tuple, kernel: tuple, stride: int, padding: int):
+    """Every tap that touches the unpadded input, in canonical ``(i, j)`` order,
+    as ``(i, j, out_rows, out_cols, in_rows, in_cols)``."""
+    taps = []
+    for i in range(kernel[0]):
+        rows = _clip(i, in_hw[0], out_hw[0], stride, padding)
+        for j in range(kernel[1]):
+            cols = _clip(j, in_hw[1], out_hw[1], stride, padding)
+            if rows is not None and cols is not None:
+                taps.append((i, j, rows[0], cols[0], rows[1], cols[1]))
+    return tuple(taps)
+
+
+def _depthwise_taps(plan: Conv2dPlan):
+    return _clipped_taps(
+        plan.x_shape[2:], plan.out_shape[2:], plan.kernel, plan.stride, plan.padding
+    )
+
+
+def _depthwise_forward(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
+    """Depthwise forward: clipped tap multiply-accumulates, chunks of channels.
+
+    Every output cell sums its in-bounds taps in canonical ``(i, j)`` order
+    with the same elementwise ops as the ``reference`` loops (a padded tap
+    would only add an exact zero), so the result is bitwise-equal to them.
+    """
+    taps = _depthwise_taps(plan)
+    out = np.empty(plan.out_shape, dtype=np.result_type(x, weight))
+    w = weight[:, 0]
+
+    def run(sl: slice) -> None:
+        o, xs, ws = out[:, sl], x[:, sl], w[sl]
+        o[...] = 0  # zero-filled inside the region, so it shards too
+        for i, j, rows, cols, in_rows, in_cols in taps:
+            o[:, :, rows, cols] += ws[:, i, j, None, None] * xs[:, :, in_rows, in_cols]
+
+    parallel_map(
+        run, shard_slices(plan.x_shape[1], get_num_workers()), op="conv2d.depthwise.fwd"
+    )
+    return out.astype(x.dtype, copy=False), {"x": x, "w": weight}
+
+
+def _depthwise_backward(plan, ctx, grad, need_input_grad, need_weight_grad):
+    """Depthwise backward: the data-grad accumulates the forward's clipped
+    taps over chunks of channels; the weight-grad reduces all channels of
+    one tap per task, so each reduction is the same call at any shard count."""
+    x, weight = ctx["x"], ctx["w"]
+    taps = _depthwise_taps(plan)
+    grad_w = grad_x = None
+    if need_weight_grad:
+        grad_w = np.zeros_like(weight)
+
+        def run_gradw(t: int) -> None:
+            i, j, rows, cols, in_rows, in_cols = taps[t]
+            grad_w[:, 0, i, j] = np.einsum(
+                "nchw,nchw->c", grad[:, :, rows, cols], x[:, :, in_rows, in_cols]
+            )
+
+        _for_each(run_gradw, len(taps), op="conv2d.depthwise.gradw")
+    if need_input_grad:
+        grad_x = np.empty(x.shape, dtype=x.dtype)
+        w = weight[:, 0]
+
+        def run_gradx(sl: slice) -> None:
+            gx, g, ws = grad_x[:, sl], grad[:, sl], w[sl]
+            gx[...] = 0
+            for i, j, rows, cols, in_rows, in_cols in taps:
+                gx[:, :, in_rows, in_cols] += ws[:, i, j, None, None] * g[:, :, rows, cols]
+
+        parallel_map(
+            run_gradx, shard_slices(x.shape[1], get_num_workers()),
+            op="conv2d.depthwise.gradx",
+        )
+    return grad_x, grad_w
+
+
 def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
+    if _is_depthwise(plan):
+        return _depthwise_forward(plan, x, weight)
     kh, kw = plan.kernel
     xp = _pad2d(x, plan.padding)
     patches = _patch_view(xp, kh, kw, plan.stride)
@@ -241,6 +349,8 @@ def conv2d_backward(
     need_input_grad: bool = True,
     need_weight_grad: bool = True,
 ):
+    if _is_depthwise(plan):
+        return _depthwise_backward(plan, ctx, grad, need_input_grad, need_weight_grad)
     xp, weight = ctx["xp"], ctx["w"]
     stride, padding, groups = plan.stride, plan.padding, plan.groups
     cout, _, kh, kw = weight.shape

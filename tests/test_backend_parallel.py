@@ -307,7 +307,12 @@ CONV_CASES = [
     (4, 8, 10, 12, 3, 1, 0, 1),     # standard conv, unpadded
     (4, 8, 10, 16, 3, 2, 1, 2),     # grouped, strided
     (3, 8, 9, 8, 3, 1, 1, 8),       # depthwise
+    (2, 12, 11, 12, 3, 2, 1, 12),   # depthwise, strided
+    (3, 5, 7, 5, 3, 1, 2, 5),       # depthwise, C = 5: 1-channel shards at 4+ workers
 ]
+# Worker counts every conv case is compared at; 4 and 8 cut the C = 5
+# depthwise case into shards one channel wide.
+CONV_WORKERS = (2, 3, 4, 8)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -319,13 +324,15 @@ def test_conv2d_threaded_bitwise_equals_numpy(case, dtype):
     w = rng.standard_normal((cout, cin // groups, kernel, kernel)).astype(dtype)
     plan = conv2d_plan(x.shape, w.shape, stride, padding, groups, x.dtype)
     out_np, ctx_np = get_kernel("conv2d", "numpy")(plan, x, w)
-    out_th, ctx_th = get_kernel("conv2d", "threaded")(plan, x, w)
-    assert np.array_equal(out_np, out_th)
     grad = rng.standard_normal(out_np.shape).astype(dtype)
     gx_np, gw_np = get_kernel("conv2d_backward", "numpy")(plan, ctx_np, grad)
-    gx_th, gw_th = get_kernel("conv2d_backward", "threaded")(plan, ctx_th, grad)
-    assert np.array_equal(gx_np, gx_th)
-    assert np.array_equal(gw_np, gw_th)
+    for workers in CONV_WORKERS:
+        with num_workers(workers):
+            out_th, ctx_th = get_kernel("conv2d", "threaded")(plan, x, w)
+            gx_th, gw_th = get_kernel("conv2d_backward", "threaded")(plan, ctx_th, grad)
+        assert np.array_equal(out_np, out_th), workers
+        assert np.array_equal(gx_np, gx_th), workers
+        assert np.array_equal(gw_np, gw_th), workers
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -56,7 +56,9 @@ def test_conv_forward_matches_naive(cin, cout, k, stride, padding, groups):
     np.testing.assert_allclose(out, naive_conv2d(x, w, stride, padding, groups), rtol=1e-8)
 
 
-@pytest.mark.parametrize("stride,padding,groups", [(1, 1, 1), (2, 1, 2), (1, 0, 4)])
+@pytest.mark.parametrize(
+    "stride,padding,groups", [(1, 1, 1), (2, 1, 2), (1, 0, 4), (2, 1, 4)]
+)
 def test_conv_backward_numerical(stride, padding, groups):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 4, 5, 5))

@@ -628,6 +628,33 @@ def test_numpy_kernel_failure_in_a_group_region_surfaces_as_shard_error():
     assert isinstance(err.__cause__, ValueError)
 
 
+@pytest.mark.parametrize("region", [
+    "conv2d.depthwise.fwd", "conv2d.depthwise.gradx", "conv2d.depthwise.gradw",
+])
+def test_numpy_depthwise_failure_surfaces_as_shard_error_naming_its_region(region):
+    from repro.backend import conv2d_plan, get_kernel
+
+    x = np.zeros((1, 4, 5, 5), dtype=np.float32)
+    weight = np.zeros((4, 1, 3, 3), dtype=np.float32)
+    plan = conv2d_plan(x.shape, weight.shape, 1, 1, 4, x.dtype)
+    bad_weight = np.zeros((3, 1, 3, 3), dtype=np.float32)  # 3 != 4 channels
+    grad = np.zeros(plan.out_shape, dtype=np.float32)
+    with pytest.raises(ShardError) as exc_info:
+        if region == "conv2d.depthwise.fwd":
+            get_kernel("conv2d", "numpy")(plan, x, bad_weight)
+        elif region == "conv2d.depthwise.gradx":
+            get_kernel("conv2d_backward", "numpy")(
+                plan, {"x": x, "w": bad_weight}, grad, need_weight_grad=False
+            )
+        else:
+            get_kernel("conv2d_backward", "numpy")(
+                plan, {"x": x[:, :3], "w": weight}, grad, need_input_grad=False
+            )
+    err = exc_info.value
+    assert err.op == region and err.shard == 0
+    assert isinstance(err.__cause__, ValueError)
+
+
 def test_pool_submit_fault_fires_once_then_recovers():
     inj = FaultInjector([FaultSpec(site="pool_submit", rate=1.0, max_fires=1)])
     with use_faults(inj):
