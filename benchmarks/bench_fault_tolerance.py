@@ -39,7 +39,7 @@ from repro.serve import (
     RequestStatus,
     RetryPolicy,
     Router,
-    ServerConfig,
+    ServingPolicy,
 )
 from repro.utils import format_table, seed_all
 
@@ -63,8 +63,8 @@ def _images(n, seed=0):
 def _virtual_router(**server_knobs):
     t = [0.0]
     router = Router(
-        server_config=ServerConfig(bucket_sizes=(4,), max_latency=0.05,
-                                   **server_knobs),
+        server_config=ServingPolicy(bucket_sizes=(4,), max_latency=0.05,
+                                    **server_knobs),
         clock=lambda: t[0],
         overlap=False,
         sleep=lambda dt: t.__setitem__(0, t[0] + dt),

@@ -22,7 +22,8 @@ Reported:
   overlaps the three per-model execution chains.  Per-batch execution
   times are measured on a serial drain and the overlapped completion time
   is modelled as the LPT makespan of those chains (each chain is
-  unsplittable: a server serialises its own batches on its ``_exec_lock``)
+  unsplittable: a server serialises its own batches on its executor's
+  ``exec_lock``)
   — the same measure-serially/model-the-schedule protocol as
   ``bench_backend_scaling``, next to the real pooled wall time.
 
@@ -44,7 +45,7 @@ from repro.backend import (
     plan_cache_stats,
 )
 from repro.backend.parallel import makespan
-from repro.serve import Router, ServerConfig
+from repro.serve import Router, ServingPolicy
 from repro.utils import format_table, seed_all
 
 INPUT = (3, 16, 16)
@@ -68,8 +69,8 @@ def _build_router(overlap: bool = False) -> Router:
     # The cache-gate sections need overlap=False: a deterministic,
     # registration-ordered drain keeps every cache counter reproducible.
     seed_all(29)
-    router = Router(server_config=ServerConfig(bucket_sizes=(1, 2, 4, 8),
-                                               max_latency=60.0),
+    router = Router(server_config=ServingPolicy(bucket_sizes=(1, 2, 4, 8),
+                                                max_latency=60.0),
                     overlap=overlap)
     for name, registry_name, kwargs in MODELS:
         router.register(name, registry_name, input_shapes=[INPUT], **kwargs)

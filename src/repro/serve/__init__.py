@@ -12,18 +12,20 @@ latency and throughput.  The tier is three layers:
   (:class:`BucketPolicy`), deadline-aware load shedding
   (:class:`ShedPolicy`), deficit-round-robin cross-model fairness
   (:class:`FairnessPolicy`), composed by :class:`SchedCore`;
-- **transports** — the synchronous :class:`Server` (thread-worker adapter;
-  bitwise-pinned legacy behaviour at the default config) and
-  :class:`Router` (multi-model, shared plan cache with owner-tagged
-  accounting and traffic-weighted eviction), plus the asyncio
-  :class:`AsyncGateway` (``await``-able submit, per-request latency
-  budgets, shed surfaced as exceptions, batch execution on the shared
-  worker pool), all driving the same :class:`ModelExecutor` batch engine
-  (:mod:`repro.serve.engine`) — which is what makes their outputs
+- **transports** — the synchronous :class:`Server` (thread-worker adapter
+  over a one-model core) and :class:`Router` (multi-model, shared plan
+  cache with owner-tagged accounting and traffic-weighted eviction), plus
+  the asyncio :class:`AsyncGateway` (``await``-able submit, per-request
+  latency budgets, shed surfaced as exceptions, batch execution on the
+  shared worker pool).  All take one :class:`ServingPolicy`, queue on a
+  :class:`SchedCore` and drive the same :class:`ModelExecutor` batch
+  engine (:mod:`repro.serve.engine`) — which is what makes their outputs
   bitwise-identical at a fixed bucket size;
-- **observability** — :class:`ServingMetrics` / :class:`RouterMetrics`
-  with the queue-wait vs exec-time latency split, deadline-miss rate,
-  shed-by-deadline counts and the live adaptive bucket target;
+- **observability** — one :class:`ServingLedger` per model records batch
+  outcomes and builds :class:`ServingMetrics` on every transport
+  (:class:`RouterMetrics` aggregates them): the queue-wait vs exec-time
+  latency split, deadline-miss rate, shutdown and deadline shed counts
+  and the live adaptive bucket target;
   :meth:`Server.status` / :meth:`Router.status` answer a request's
   lifecycle (``PENDING | DONE | SHED | EVICTED``).
 
@@ -36,7 +38,7 @@ per-model :class:`CircuitBreaker` is open), :class:`ResultTimeout` (a
 ``wait_result`` that gave up, carrying the request's status).
 """
 from repro.serve.engine import BatchTiming, ExecStats, ModelExecutor, RequestFailed
-from repro.serve.gateway import AsyncGateway, GatewayConfig
+from repro.serve.gateway import AsyncGateway
 from repro.serve.policy import ServingPolicy
 from repro.serve.router import Router, RouterHandle, RouterMetrics
 from repro.serve.sched import (
@@ -54,13 +56,12 @@ from repro.serve.server import (
     DeadlineExceeded,
     ModelUnavailable,
     QueueFull,
-    Request,
     RequestResult,
     RequestShed,
     RequestStatus,
     ResultTimeout,
     Server,
-    ServerConfig,
+    ServingLedger,
     ServingMetrics,
 )
 from repro.serve.sharded import HashRing, ShardedRouter
@@ -75,12 +76,10 @@ __all__ = [
     "DeadlineExceeded",
     "ExecStats",
     "FairnessPolicy",
-    "GatewayConfig",
     "HashRing",
     "ModelExecutor",
     "ModelUnavailable",
     "QueueFull",
-    "Request",
     "RequestFailed",
     "RequestResult",
     "RequestShed",
@@ -93,7 +92,7 @@ __all__ = [
     "SchedCore",
     "SchedRequest",
     "Server",
-    "ServerConfig",
+    "ServingLedger",
     "ServingMetrics",
     "ServingPolicy",
     "ShardedRouter",

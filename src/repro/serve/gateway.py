@@ -34,25 +34,20 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend import plan_owner, submit_pooled
-from repro.serve.engine import ModelExecutor, RequestFailed
-from repro.serve.policy import GatewayConfig, ServingPolicy
-from repro.serve.sched import Batch, CircuitBreaker, SchedCore, SchedRequest
+from repro.backend import get_num_workers, plan_owner, submit_pooled
+from repro.serve.engine import ModelExecutor
+from repro.serve.policy import ServingPolicy
+from repro.serve.sched import Batch, SchedRequest
 from repro.serve.server import (
     DeadlineExceeded,
-    ModelUnavailable,
     QueueFull,
     RequestResult,
+    RequestShed,
+    ServingLedger,
     ServingMetrics,
-    _percentile,
 )
 
-__all__ = ["AsyncGateway", "GatewayConfig"]
-
-# GatewayConfig moved to repro.serve.policy: the shared knobs now live on
-# ServingPolicy and GatewayConfig is a deprecated shim re-exported here
-# (with the gateway's historical adaptive/deadline defaults) for the
-# one-release compatibility window.
+__all__ = ["AsyncGateway"]
 
 
 @dataclass
@@ -60,19 +55,8 @@ class _ModelRuntime:
     """Event-loop-side state of one registered model."""
 
     executor: ModelExecutor
+    ledger: ServingLedger
     exec_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    completed: int = 0
-    deadline_misses: int = 0
-    deadline_total: int = 0
-    latencies: list[float] = field(default_factory=list)
-    queue_waits: list[float] = field(default_factory=list)
-    batch_records: list[tuple[int, int]] = field(default_factory=list)
-    exec_seconds: list[float] = field(default_factory=list)
-    breaker: CircuitBreaker | None = None
-    failed: int = 0        # RequestFailed terminal failures
-    retries: int = 0       # transient-fault batch retries (engine + pool)
-    isolations: int = 0    # batches bisected to isolate a failure
-    unavailable: int = 0   # submits shed while the breaker was open
 
 
 class AsyncGateway:
@@ -80,7 +64,7 @@ class AsyncGateway:
 
     Usage::
 
-        async with AsyncGateway(GatewayConfig(max_latency=0.005)) as gw:
+        async with AsyncGateway(ServingPolicy(max_latency=0.005)) as gw:
             gw.register("small", "mobilenet", input_shapes=[(3, 16, 16)],
                         width_mult=0.25)
             result = await gw.submit("small", image, budget=0.05)
@@ -91,6 +75,11 @@ class AsyncGateway:
     the request itself is shed with its budget blown.  Every await-er of a
     shed request gets the exception — nothing is silently dropped.
 
+    ``config`` defaults to ``ServingPolicy(adaptive_buckets=True,
+    shed_policy="deadline")``.  Models share one :class:`SchedCore` with
+    deficit-round-robin fairness, and at most as many batches as the worker
+    pool has workers are in flight at once.
+
     Must be constructed (and driven) inside a running event loop.
     """
 
@@ -100,28 +89,19 @@ class AsyncGateway:
         clock: Callable[[], float] = time.perf_counter,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.config = GatewayConfig.coerce(config)
+        if config is None:
+            config = ServingPolicy(adaptive_buckets=True, shed_policy="deadline")
+        self.config = config
         self.clock = clock
         self.sleep = sleep  # backoff sleeps inside pooled batch execution
-        self.core = SchedCore(
-            bucket_sizes=self.config.bucket_sizes,
-            max_latency=self.config.max_latency,
-            max_pending=self.config.max_pending,
-            adaptive_buckets=self.config.adaptive_buckets,
-            shed_policy=self.config.shed_policy or "newest",
-            fairness=self.config.fairness,
-            quantum=self.config.quantum,
-        )
+        self.core = config.make_core()
         self._models: dict[str, _ModelRuntime] = {}
         self._futures: dict[int, asyncio.Future] = {}
         self._wake = asyncio.Event()
         self._batch_tasks: set[asyncio.Task] = set()
-        limit = self.config.max_concurrent_batches
-        if limit is None:
-            from repro.backend import get_num_workers
-
-            limit = max(1, get_num_workers())
-        self._batch_slots = asyncio.Semaphore(limit)
+        # More batches in flight than pool workers would only queue inside
+        # the executor.
+        self._batch_slots = asyncio.Semaphore(max(1, get_num_workers()))
         self._loop_task: asyncio.Task | None = None
         self._stopping = False
 
@@ -164,11 +144,13 @@ class AsyncGateway:
             bucket_sizes=self.config.bucket_sizes, name=name,
             degrade_after=self.config.degrade_after,
         )
-        self._models[name] = _ModelRuntime(
-            executor=executor, breaker=self.config.make_breaker()
-        )
         self.core.add_model(
             name, request_cost=request_cost, exec_estimate=exec_estimate
+        )
+        self._models[name] = _ModelRuntime(
+            executor=executor,
+            ledger=ServingLedger(self.core, name, executor,
+                                 self.config.make_breaker()),
         )
 
     def models(self) -> tuple[str, ...]:
@@ -195,14 +177,8 @@ class AsyncGateway:
             raise ValueError(f"expected one (C, H, W) image, got shape {image.shape}")
         self._ensure_loop()
         now = self.clock()
-        runtime = self._models[model]
-        if runtime.breaker is not None and not runtime.breaker.allow(now):
-            runtime.unavailable += 1
-            raise ModelUnavailable(
-                f"model {model!r} is unavailable: circuit breaker open "
-                f"(error rate {runtime.breaker.error_rate():.0%} over "
-                f"recent requests)"
-            )
+        ledger = self._models[model].ledger
+        ledger.admit(now)
         deadline = None if budget is None else now + budget
         outcome = self.core.submit(
             model, image.shape, now, deadline=deadline, payload=image
@@ -213,6 +189,7 @@ class AsyncGateway:
                 f"gateway queue for {model!r} at capacity "
                 f"(max_pending={self.config.max_pending}); request shed"
             )
+        ledger.accepted(now)
         future = asyncio.get_running_loop().create_future()
         self._futures[outcome.request.id] = future
         self._wake.set()
@@ -220,13 +197,13 @@ class AsyncGateway:
 
     def _fail_shed(self, victims: list[SchedRequest]) -> None:
         """Resolve shed requests' futures with DeadlineExceeded."""
-        for victim in victims:
-            future = self._futures.pop(victim.id, None)
-            if future is not None and not future.done():
-                future.set_exception(DeadlineExceeded(
-                    f"request {victim.id} for {victim.model!r} was shed: its "
-                    f"latency budget expired while it was still queued"
-                ))
+        self._resolve(victims, [
+            DeadlineExceeded(
+                f"request {v.id} for {v.model!r} was shed: its latency "
+                f"budget expired while it was still queued"
+            )
+            for v in victims
+        ])
 
     def kick(self) -> None:
         """Wake the scheduler loop immediately (deterministic tests with an
@@ -298,67 +275,36 @@ class AsyncGateway:
                     raise
                 except BaseException as exc:
                     if retry is not None and retry.should_retry(attempt):
-                        runtime.retries += 1
+                        runtime.ledger.retries += 1
                         await asyncio.sleep(retry.delay(attempt, token=ids[0]))
                         attempt += 1
                         continue
-                    done = self.clock()
-                    for request in batch.requests:
-                        future = self._futures.pop(request.id, None)
-                        if future is not None and not future.done():
-                            future.set_exception(RequestFailed(
-                                request.id,
-                                f"request {request.id} failed: batch could "
-                                f"not be executed ({exc})",
-                                cause=exc,
-                            ))
-                        runtime.failed += 1
-                        if runtime.breaker is not None:
-                            runtime.breaker.record(False, done)
+                    failures = runtime.ledger.record_unrunnable(
+                        batch.requests, exc, self.clock()
+                    )
+                    self._resolve(batch.requests, failures)
                     return
-        done = timing.finished
-        n = len(batch.requests)
-        runtime.batch_records.append((n, batch.bucket))
-        runtime.exec_seconds.append(timing.exec_seconds)
         # Auto-calibrate the deadline shed's exec_estimate from the span
         # the batch actually took on the gateway clock — same time base as
         # the deadlines it will be compared against.
         self.core.observe_exec(
             batch.model, max(0.0, timing.finished - timing.started)
         )
-        runtime.retries += stats.retries
-        if stats.splits:
-            runtime.isolations += 1
-        completed = 0
-        for i, request in enumerate(batch.requests):
+        self._resolve(batch.requests, runtime.ledger.record_batch(
+            batch, rows, errors, stats, timing
+        ))
+
+    def _resolve(self, requests: list[SchedRequest],
+                 outcomes: list[RequestResult | BaseException]) -> None:
+        """Hand each request's outcome (result or exception) to its await-er."""
+        for request, outcome in zip(requests, outcomes):
             future = self._futures.pop(request.id, None)
-            if i in errors:
-                runtime.failed += 1
-                if runtime.breaker is not None:
-                    runtime.breaker.record(False, done)
-                if future is not None and not future.done():
-                    future.set_exception(errors[i])
+            if future is None or future.done():
                 continue
-            completed += 1
-            result = RequestResult(
-                id=request.id,
-                output=rows[i].copy(),
-                latency=done - request.arrived_at,
-                batch_requests=n,
-                bucket_size=batch.bucket,
-                queue_wait=timing.started - request.arrived_at,
-            )
-            runtime.latencies.append(result.latency)
-            runtime.queue_waits.append(result.queue_wait)
-            if runtime.breaker is not None:
-                runtime.breaker.record(True, done)
-            if request.deadline is not None:
-                runtime.deadline_total += 1
-                if done > request.deadline:
-                    runtime.deadline_misses += 1
-            if future is not None and not future.done():
-                future.set_result(result)
-        runtime.completed += completed
+            if isinstance(outcome, BaseException):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
 
     # -- shutdown -------------------------------------------------------------
 
@@ -389,15 +335,13 @@ class AsyncGateway:
         if drain:
             await self.drain()
         else:
-            from repro.serve.server import RequestShed
-
-            for victim in self.core.shed_all():
-                future = self._futures.pop(victim.id, None)
-                if future is not None and not future.done():
-                    future.set_exception(RequestShed(
-                        f"request {victim.id} was shed on shutdown "
-                        f"before executing"
-                    ))
+            victims = self.core.shed_all()
+            for victim in victims:
+                self._models[victim.model].ledger.shed += 1
+            self._resolve(victims, [
+                RequestShed(f"request {v.id} was shed on shutdown before executing")
+                for v in victims
+            ])
             while self._batch_tasks:
                 await asyncio.gather(*list(self._batch_tasks),
                                      return_exceptions=True)
@@ -412,59 +356,19 @@ class AsyncGateway:
     # -- metrics --------------------------------------------------------------
 
     def metrics(self) -> dict[str, ServingMetrics]:
-        """Per-model :class:`ServingMetrics` over the gateway's lifetime.
-
-        Wall-clock throughput is not computed here (the injected clock may
-        be virtual); the latency split (``queue_wait_mean`` vs
-        ``exec_mean``), deadline-miss rate, shed counts and the live
-        adaptive ``bucket_target`` are the gateway-native observables.
-        """
-        out: dict[str, ServingMetrics] = {}
-        for name, runtime in self._models.items():
-            stats = self.core.stats(name)
-            lat = sorted(runtime.latencies)
-            waits = sorted(runtime.queue_waits)
-            real = sum(n for n, _ in runtime.batch_records)
-            padded = sum(b for _, b in runtime.batch_records)
-            out[name] = ServingMetrics(
-                completed=runtime.completed,
-                batches=len(runtime.batch_records),
-                throughput=0.0,
-                latency_p50=_percentile(lat, 0.50),
-                latency_p95=_percentile(lat, 0.95),
-                latency_mean=sum(lat) / len(lat) if lat else 0.0,
-                plan_cache_hit_rate=1.0,
-                plan_builds=0,
-                mean_batch_occupancy=real / len(runtime.batch_records)
-                if runtime.batch_records else 0.0,
-                mean_bucket_fill=real / padded if padded else 0.0,
-                rejected=stats["rejected"],
-                shed=stats["shed_deadline"],
-                exec_seconds_total=sum(runtime.exec_seconds),
-                shed_deadline=stats["shed_deadline"],
-                deadline_misses=runtime.deadline_misses,
-                deadline_miss_rate=runtime.deadline_misses / runtime.deadline_total
-                if runtime.deadline_total else 0.0,
-                queue_wait_mean=sum(waits) / len(waits) if waits else 0.0,
-                queue_wait_p95=_percentile(waits, 0.95),
-                exec_mean=sum(runtime.exec_seconds) / len(runtime.exec_seconds)
-                if runtime.exec_seconds else 0.0,
-                bucket_target=stats["bucket_target"],
-                failed=runtime.failed,
-                retries=runtime.retries,
-                isolated_batches=runtime.isolations,
-                unavailable=runtime.unavailable,
-                degraded_plans=len(runtime.executor.degraded()),
-                breaker_state=runtime.breaker.state
-                if runtime.breaker else "disabled",
-                breaker_opens=runtime.breaker.opens if runtime.breaker else 0,
-            )
-        return out
+        """Per-model :class:`ServingMetrics` over the gateway's lifetime,
+        built by each model's :class:`~repro.serve.server.ServingLedger`
+        exactly as the sync server builds its own.  ``shed`` counts
+        shutdown sheds (``stop(drain=False)``); deadline sheds are
+        ``shed_deadline``.  Plan-cache figures are the model's per-owner
+        counters since registration, so a shape that was never pre-built
+        shows up as ``plan_builds``."""
+        return {name: rt.ledger.metrics() for name, rt in self._models.items()}
 
     def breaker_snapshots(self) -> dict[str, dict]:
         """Per-model circuit-breaker snapshots (only breaker-enabled models)."""
         return {
-            name: runtime.breaker.snapshot()
+            name: runtime.ledger.breaker.snapshot()
             for name, runtime in self._models.items()
-            if runtime.breaker is not None
+            if runtime.ledger.breaker is not None
         }

@@ -18,7 +18,7 @@ serving never exercised:
   plans are not thrashed out by a cold model churning through the LRU tail.
 
 Admission control is per model: give a registered model a
-``ServerConfig.max_pending`` bound and its ``submit`` sheds with
+``ServingPolicy.max_pending`` bound and its ``submit`` sheds with
 :class:`~repro.serve.server.QueueFull` (counted in ``rejected``) instead of
 letting an overloaded queue grow without bound.
 
@@ -31,8 +31,8 @@ plus the shared cache's state into one :class:`RouterMetrics`.
 each model's drain onto the shared worker pool
 (:mod:`repro.backend.parallel`), so different models' batches execute
 concurrently instead of queueing behind one caller thread — each server
-still serialises its *own* batches on its ``_exec_lock`` (shared staging
-buffers), which is exactly the per-model chain the overlap model in
+still serialises its *own* batches on its executor's ``exec_lock``
+(shared staging buffers), which is exactly the per-model chain the overlap model in
 ``bench_multimodel_serving`` assumes.  Pass ``overlap=False`` (or size the
 pool to one worker) to restore the strictly serial drain: overlap
 interleaves the models' plan-cache access order, which is the right
@@ -113,9 +113,8 @@ class Router:
     Parameters
     ----------
     server_config:
-        default :class:`~repro.serve.policy.ServingPolicy` (or legacy
-        :class:`~repro.serve.policy.ServerConfig`) for models registered
-        without one.
+        default :class:`~repro.serve.policy.ServingPolicy` for models
+        registered without one.
     clock:
         time source handed to every server (injectable for tests).
     overlap:

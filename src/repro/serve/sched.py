@@ -92,11 +92,14 @@ class Batch:
 @dataclass
 class SubmitOutcome:
     """What admission decided: ``accepted`` (with the enqueued request) or
-    not, plus any blown-budget victims displaced to make room."""
+    not, plus any blown-budget victims displaced to make room.
+    ``bucket_full`` says the request's queue now fills the model's target
+    bucket, so a batch is due without waiting for the flush window."""
 
     accepted: bool
     request: SchedRequest | None
     displaced: list[SchedRequest] = field(default_factory=list)
+    bucket_full: bool = False
 
 
 class AdmissionPolicy:
@@ -329,12 +332,6 @@ class FairnessPolicy:
             self._ptr = (self._ptr + 1) % count
         raise RuntimeError("DRR failed to converge")  # pragma: no cover
 
-    def charge(self, model: str, cost: float) -> None:
-        """Charge out-of-band work (a transport that executed without
-        :meth:`select`, e.g. an inline full-bucket flush)."""
-        if model in self._deficit:
-            self._deficit[model] -= cost
-
 
 class RetryPolicy:
     """Bounded exponential backoff with deterministic jitter.
@@ -521,10 +518,16 @@ class SchedCore:
     """The composite scheduling brain the transports drive.
 
     Holds per-model shape-keyed queues and the four policies; every method
-    is synchronous, lock-free and takes ``now`` — the asyncio gateway calls
-    it from its (single-threaded) event loop, the deterministic benchmarks
-    call it from a virtual-clock simulation, and both observe the identical
+    is synchronous, lock-free and takes ``now`` — the sync server calls its
+    one-model core under its lock, the asyncio gateway calls its shared core
+    from its (single-threaded) event loop, the deterministic benchmarks
+    call it from a virtual-clock simulation, and all observe the identical
     schedule.
+
+    Two rules hold for every caller.  A due queue batches up to the max
+    bucket (see :meth:`next_batch`).  Every arrival that reaches admission
+    counts toward the adaptive arrival rate, refused ones included: the
+    rate measures offered load, and a refused arrival is load too.
     """
 
     def __init__(
@@ -669,9 +672,13 @@ class SchedCore:
             id=next(self._ids), model=model, shape=tuple(shape),
             arrived_at=now, deadline=deadline, payload=payload,
         )
-        state.queues.setdefault(request.shape, deque()).append(request)
+        queue = state.queues.setdefault(request.shape, deque())
+        queue.append(request)
         state.pending += 1
-        return SubmitOutcome(True, request, displaced)
+        return SubmitOutcome(
+            True, request, displaced,
+            bucket_full=len(queue) >= state.buckets.target_bucket(),
+        )
 
     # -- shedding --------------------------------------------------------------
 
@@ -731,11 +738,11 @@ class SchedCore:
 
         A (model, shape) queue is *due* when it can fill the model's
         current target bucket, its head request has waited ``max_latency``,
-        or ``force`` (drain) is set.  Overdue/drained queues batch up to
-        the model's max bucket (the remainder must not wait another
-        window); full-trigger queues batch exactly the target.  Returns
-        ``None`` when nothing is due — call again after
-        :meth:`next_event`.
+        or ``force`` (drain) is set.  A due queue batches up to the model's
+        max bucket however it came due: requests queued behind the trigger
+        ride along rather than wait another window.  Whatever is left past
+        one max bucket is judged afresh by the next call.  Returns ``None``
+        when nothing is due — call again after :meth:`next_event`.
         """
         candidates: dict[str, tuple[float, float]] = {}
         picks: dict[str, tuple[tuple, int, int]] = {}
@@ -744,9 +751,7 @@ class SchedCore:
             if shape is None:
                 continue
             queue = state.queues[shape]
-            target = state.buckets.target_bucket()
-            overdue = force or now - queue[0].arrived_at >= state.buckets.max_latency
-            take = min(len(queue), state.buckets.max_bucket if overdue else target)
+            take = min(len(queue), state.buckets.max_bucket)
             bucket = state.buckets.fit_bucket(take)
             candidates[name] = (
                 state.request_cost * bucket, queue[0].arrived_at,

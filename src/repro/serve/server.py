@@ -1,24 +1,25 @@
-"""The synchronous shape-bucketed batching server.
+"""The synchronous shape-bucketed batching server, and the outcome ledger
+every transport shares.
 
 Requests are single images.  The server groups pending requests by their
 ``(C, H, W)`` shape, and when a shape's queue reaches the current target
 bucket size — or its oldest request has waited ``max_latency`` — it runs the
-whole group as one batch, padded up to the smallest configured bucket size
+queue as batches, each padded up to the smallest configured bucket size
 that fits.  Because every (shape, bucket) pair owns a pre-built inference
 :class:`~repro.backend.ModelPlan`, steady-state serving never builds a plan:
 each batch runs entirely on plan-cache hits, which is exactly what the
 single-flight cache guarantees to stay true under the optional background
 worker thread.
 
-Since the scheduling-core extraction this class is a *transport adapter*:
-the thread/lock/condition plumbing lives here, but every policy decision is
-delegated — admission to :class:`~repro.serve.sched.AdmissionPolicy`,
-bucket triggering to :class:`~repro.serve.sched.BucketPolicy` (fixed at the
-max bucket by default, arrival-rate adaptive with
-``ServerConfig(adaptive_buckets=True)``), deadline shedding to
-:class:`~repro.serve.sched.ShedPolicy` (``shed_policy="deadline"``), and
-batch execution to the shared :class:`~repro.serve.engine.ModelExecutor`.
-Default configuration reproduces the pre-refactor behaviour bit for bit.
+This class is a *transport adapter*: the thread/lock/condition plumbing
+lives here, but the queue and every policy decision belong to a one-model
+:class:`~repro.serve.sched.SchedCore` — admission, bucket triggering
+(fixed at the max bucket by default, arrival-rate adaptive with
+``ServingPolicy(adaptive_buckets=True)``), deadline shedding
+(``shed_policy="deadline"``) and batch formation.  Batches execute on the
+shared :class:`~repro.serve.engine.ModelExecutor`, and their outcomes are
+recorded by a :class:`ServingLedger`, the same accounting the asyncio
+gateway keeps per model.
 
 Two driving modes:
 
@@ -29,12 +30,11 @@ Two driving modes:
   buckets in the background while any number of client threads submit;
   :meth:`Server.wait_result` blocks until a request completes.
 
-The asyncio transport over the same policies and engine is
+The asyncio transport over the same core, engine and ledger is
 :class:`~repro.serve.gateway.AsyncGateway`.
 """
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from collections import OrderedDict, deque
@@ -45,15 +45,22 @@ from typing import Callable
 import numpy as np
 
 from repro.backend import plan_cache_owner_stats, plan_cache_stats
-from repro.serve.engine import ModelExecutor, RequestFailed
-from repro.serve.policy import ServerConfig, ServingPolicy
-from repro.serve.sched import AdmissionPolicy, BucketPolicy, ShedPolicy
+from repro.serve.engine import BatchTiming, ExecStats, ModelExecutor, RequestFailed
+from repro.serve.policy import ServingPolicy
+from repro.serve.sched import Batch, CircuitBreaker, SchedCore, SchedRequest
+
+#: Unread results, failures and shed records a server retains before the
+#: oldest are dropped (results with a blocked ``wait_result`` are exempt).
+RESULT_CAPACITY = 65536
+#: Most recent completions / batches the latency, queue-wait, batch and
+#: exec-time histories of a :class:`ServingLedger` keep.
+METRICS_WINDOW = 65536
 
 
 class QueueFull(RuntimeError):
     """Admission control rejected a submit: the pending queue is at capacity.
 
-    Raised by :meth:`Server.submit` when ``ServerConfig.max_pending`` is set
+    Raised by :meth:`Server.submit` when ``ServingPolicy.max_pending`` is set
     and already reached — the shed-on-overload alternative to letting an
     overloaded server's queue (and every request's latency) grow without
     bound.  Rejected requests are counted in ``ServingMetrics.rejected``.
@@ -125,16 +132,6 @@ class RequestStatus(str, Enum):
 
 
 @dataclass
-class Request:
-    """One in-flight single-image inference request."""
-
-    id: int
-    image: np.ndarray            # (C, H, W)
-    submitted_at: float
-    deadline: float | None = None  # absolute clock reading; None = no SLO
-
-
-@dataclass
 class RequestResult:
     """Completed request: model output row + serving bookkeeping."""
 
@@ -190,9 +187,204 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank]
 
 
-# ServerConfig moved to repro.serve.policy: the shared knobs now live on
-# ServingPolicy and ServerConfig is a deprecated shim re-exported here for
-# the one-release compatibility window.
+class ServingLedger:
+    """One model's outcome accounting, shared by every transport.
+
+    :class:`Server` and :class:`~repro.serve.gateway.AsyncGateway` both
+    check the circuit breaker at the door with :meth:`admit`, fold every
+    executed batch in with :meth:`record_batch`, and build
+    :class:`ServingMetrics` with :meth:`metrics` — so the two transports
+    report the same counters for the same traffic.  Histories are bounded
+    by :data:`METRICS_WINDOW`; counters cover the whole window since the
+    last :meth:`reset`.  Admission rejections, deadline sheds and the
+    bucket target are read from the model's :class:`SchedCore` state.
+
+    Not thread-safe: the transport serialises calls (the server under its
+    lock, the gateway on its event loop).
+    """
+
+    def __init__(self, core: SchedCore, model: str, executor: ModelExecutor,
+                 breaker: CircuitBreaker | None) -> None:
+        self.core = core
+        self.model = model
+        self.executor = executor
+        self.breaker = breaker
+        self.reset()
+
+    def _cache_counters(self) -> tuple[int, int, int]:
+        """(hits, misses, builds) attributed to this model.
+
+        A named executor reads the shared cache's per-owner counters —
+        exact under any mix of cache clients (other models, a trainer).
+        An unnamed one falls back to the process-global counters, which are
+        only correct while this model is the dominant client.
+        """
+        if self.executor.name is not None:
+            acc = plan_cache_owner_stats().get(self.executor.name)
+            if acc is None:
+                return (0, 0, 0)
+            return (acc["hits"], acc["misses"], acc["builds"])
+        base = plan_cache_stats()
+        return (base["hits"], base["misses"], base["builds"])
+
+    def reset(self) -> None:
+        """Start a fresh measurement window."""
+        self.completed = 0
+        self.shed = 0              # shutdown sheds (stop without drain)
+        self.failed = 0
+        self.retries = 0
+        self.isolations = 0
+        self.unavailable = 0
+        self.deadline_misses = 0
+        self.deadline_total = 0    # completions that carried a deadline
+        self.latencies: deque[float] = deque(maxlen=METRICS_WINDOW)
+        self.queue_waits: deque[float] = deque(maxlen=METRICS_WINDOW)
+        self.batch_records: deque[tuple[int, int]] = deque(  # (requests, bucket)
+            maxlen=METRICS_WINDOW
+        )
+        # Per-batch wall execution times (stage + forward), measured on the
+        # real clock regardless of an injected test clock: the router's
+        # cross-model overlap model consumes these.
+        self.exec_seconds: deque[float] = deque(maxlen=METRICS_WINDOW)
+        self.started: float | None = None    # first accepted submit
+        self.finished: float | None = None   # last batch completion
+        stats = self.core.stats(self.model)
+        self._core_base = (stats["rejected"], stats["shed_deadline"])
+        self._cache_base = self._cache_counters()
+
+    def admit(self, now: float) -> None:
+        """The at-the-door breaker check: raise :class:`ModelUnavailable`
+        (and count it) while the model's circuit breaker rejects."""
+        if self.breaker is not None and not self.breaker.allow(now):
+            self.unavailable += 1
+            raise ModelUnavailable(
+                f"model {self.model!r} is unavailable: circuit breaker open "
+                f"(error rate {self.breaker.error_rate():.0%} over recent "
+                f"requests)"
+            )
+
+    def accepted(self, now: float) -> None:
+        """Note an admitted request (opens the throughput window)."""
+        if self.started is None:
+            self.started = now
+
+    def _record_outcome(self, ok: bool, now: float) -> None:
+        if ok:
+            self.completed += 1
+        else:
+            self.failed += 1
+        if self.breaker is not None:
+            self.breaker.record(ok, now)
+
+    def record_batch(
+        self, batch: Batch, rows: list, errors: dict[int, RequestFailed],
+        stats: ExecStats, timing: BatchTiming,
+    ) -> list[RequestResult | RequestFailed]:
+        """Fold one executed batch in; returns each request's outcome, in
+        batch order (a :class:`RequestResult` or its :class:`RequestFailed`)."""
+        done = timing.finished
+        n = len(batch.requests)
+        outcomes: list[RequestResult | RequestFailed] = []
+        for i, request in enumerate(batch.requests):
+            self._record_outcome(i not in errors, done)
+            if i in errors:
+                outcomes.append(errors[i])
+                continue
+            result = RequestResult(
+                id=request.id,
+                output=rows[i].copy(),
+                latency=done - request.arrived_at,
+                batch_requests=n,
+                bucket_size=batch.bucket,
+                queue_wait=timing.started - request.arrived_at,
+            )
+            self.latencies.append(result.latency)
+            self.queue_waits.append(result.queue_wait)
+            if request.deadline is not None:
+                self.deadline_total += 1
+                # Finishing exactly at the deadline meets the SLO; only
+                # strictly-later completions are misses.
+                if done > request.deadline:
+                    self.deadline_misses += 1
+            outcomes.append(result)
+        self.retries += stats.retries
+        if stats.splits:
+            self.isolations += 1
+        self.batch_records.append((n, batch.bucket))
+        self.exec_seconds.append(timing.exec_seconds)
+        self.finished = done
+        return outcomes
+
+    def record_unrunnable(self, requests: list[SchedRequest], exc: BaseException,
+                          now: float) -> list[RequestFailed]:
+        """Fail every request of a batch that could not be executed at all."""
+        failures = []
+        for request in requests:
+            self._record_outcome(False, now)
+            failures.append(RequestFailed(
+                request.id,
+                f"request {request.id} failed: batch could not be executed "
+                f"({exc})",
+                cause=exc,
+            ))
+        return failures
+
+    def metrics(self) -> ServingMetrics:
+        """Aggregate statistics since the last :meth:`reset`.
+
+        ``completed``/``throughput`` count the whole window; latency
+        percentiles and batch occupancy are over the most recent
+        :data:`METRICS_WINDOW` entries.  Plan-cache figures are deltas of
+        :meth:`_cache_counters`; a ``clear_plan_cache()`` landing in the
+        window zeroes the cache's counters, so attribution restarts from
+        the clear (never negative deltas).
+        """
+        stats = self.core.stats(self.model)
+        lat = sorted(self.latencies)
+        waits = sorted(self.queue_waits)
+        cache = self._cache_counters()
+        if any(now < base for now, base in zip(cache, self._cache_base)):
+            self._cache_base = (0, 0, 0)
+        hits, misses, builds = (
+            now - base for now, base in zip(cache, self._cache_base)
+        )
+        elapsed = 0.0
+        if self.started is not None and self.finished is not None:
+            elapsed = self.finished - self.started
+        batches = len(self.batch_records)
+        real = sum(n for n, _ in self.batch_records)
+        padded = sum(b for _, b in self.batch_records)
+        return ServingMetrics(
+            completed=self.completed,
+            batches=batches,
+            throughput=self.completed / elapsed if elapsed > 0 else 0.0,
+            latency_p50=_percentile(lat, 0.50),
+            latency_p95=_percentile(lat, 0.95),
+            latency_mean=sum(lat) / len(lat) if lat else 0.0,
+            plan_cache_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
+            plan_builds=builds,
+            mean_batch_occupancy=real / batches if batches else 0.0,
+            mean_bucket_fill=real / padded if padded else 0.0,
+            rejected=stats["rejected"] - self._core_base[0],
+            shed=self.shed,
+            exec_seconds_total=sum(self.exec_seconds),
+            shed_deadline=stats["shed_deadline"] - self._core_base[1],
+            deadline_misses=self.deadline_misses,
+            deadline_miss_rate=self.deadline_misses / self.deadline_total
+            if self.deadline_total else 0.0,
+            queue_wait_mean=sum(waits) / len(waits) if waits else 0.0,
+            queue_wait_p95=_percentile(waits, 0.95),
+            exec_mean=sum(self.exec_seconds) / len(self.exec_seconds)
+            if self.exec_seconds else 0.0,
+            bucket_target=stats["bucket_target"],
+            failed=self.failed,
+            retries=self.retries,
+            isolated_batches=self.isolations,
+            unavailable=self.unavailable,
+            degraded_plans=len(self.executor.degraded()),
+            breaker_state=self.breaker.state if self.breaker else "disabled",
+            breaker_opens=self.breaker.opens if self.breaker else 0,
+        )
 
 
 class Server:
@@ -208,10 +400,9 @@ class Server:
         show up in the metrics as ``plan_builds`` (the cold path the
         pre-building exists to avoid).
     config:
-        bucket sizes, flush deadline, admission bound and shed policy — a
-        shared :class:`~repro.serve.policy.ServingPolicy` (the legacy
-        :class:`~repro.serve.policy.ServerConfig` still works for one more
-        release).
+        bucket sizes, flush deadline, admission bound, shed policy and
+        fault plane — a shared :class:`~repro.serve.policy.ServingPolicy`
+        (``None`` = its defaults).
     clock:
         time source (injectable for deterministic tests).
     name:
@@ -232,7 +423,7 @@ class Server:
         name: str | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.config = ServerConfig.coerce(config)
+        self.config = config if config is not None else ServingPolicy()
         self.clock = clock
         self.sleep = sleep
         self.name = name
@@ -242,151 +433,46 @@ class Server:
             degrade_after=self.config.degrade_after,
         )
         self.model = self._engine.model
-        self._plans = self._engine._plans           # legacy alias
-        self._exec_lock = self._engine.exec_lock    # legacy alias
-        # Policy objects from the scheduling core (transport-agnostic).
-        self._admission = AdmissionPolicy(self.config.max_pending)
-        self._buckets = BucketPolicy(
-            self.config.bucket_sizes, self.config.max_latency,
-            adaptive=self.config.adaptive_buckets,
+        self._key = name if name is not None else "<unnamed>"
+        self._core = self.config.make_core()
+        self._core.add_model(self._key)
+        self._ledger = ServingLedger(
+            self._core, self._key, self._engine, self.config.make_breaker()
         )
-        self._shed_policy = ShedPolicy(self.config.shed_policy or "newest")
-        self._ids = itertools.count()
         self._last_id = -1
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._pending: dict[tuple, list[Request]] = {}
-        self._pending_total = 0
-        self._inflight: set[int] = set()  # popped from queue, batch executing
+        self._open: set[int] = set()  # accepted, not yet finished or shed
         self._results: OrderedDict[int, RequestResult] = OrderedDict()
-        self._waiting: set[int] = set()  # ids with a blocked wait_result()
-        self._shed_ids: set[int] = set()
-        self._deadline_shed_ids: set[int] = set()  # subset of _shed_ids
-        self._evicted_ids: set[int] = set()
         # Per-request terminal failures (RequestFailed), retained/trimmed
         # like results so wait_result can re-raise them.
         self._failed: OrderedDict[int, RequestFailed] = OrderedDict()
-        self._breaker = self.config.make_breaker()
+        self._waiting: set[int] = set()  # ids with a blocked wait_result()
+        self._shed_ids: set[int] = set()
+        self._deadline_shed_ids: set[int] = set()  # subset of _shed_ids
         self._worker: threading.Thread | None = None
         self._stopping = False
-        self.reset_metrics()
 
     # -- metrics --------------------------------------------------------------
-
-    def _cache_counters(self) -> tuple[int, int, int]:
-        """(hits, misses, builds) attributed to this server.
-
-        Named servers read the shared cache's per-owner counters — exact
-        under any mix of cache clients (other servers, a trainer).
-        Unnamed servers fall back to the process-global counters, which
-        are only correct while this server is the dominant client.
-        """
-        if self.name is not None:
-            acc = plan_cache_owner_stats().get(self.name)
-            if acc is None:
-                return (0, 0, 0)
-            return (acc["hits"], acc["misses"], acc["builds"])
-        base = plan_cache_stats()
-        return (base["hits"], base["misses"], base["builds"])
 
     def reset_metrics(self) -> None:
         """Start a fresh measurement window (e.g. after warmup traffic)."""
         with self._lock:
-            self._completed = 0
-            self._rejected = 0
-            self._shed = 0
-            self._failed_count = 0
-            self._retry_count = 0
-            self._isolations = 0
-            self._unavailable = 0
-            self._shed_deadline = 0
-            self._deadline_misses = 0
-            self._deadline_total = 0  # completions that carried a deadline
-            self._latencies: deque[float] = deque(maxlen=self.config.metrics_window)
-            self._queue_waits: deque[float] = deque(
-                maxlen=self.config.metrics_window
-            )
-            self._batch_records: deque[tuple[int, int]] = deque(  # (requests, bucket)
-                maxlen=self.config.metrics_window
-            )
-            # Per-batch wall execution times (stage + forward), measured on
-            # the real clock regardless of an injected test clock: the
-            # router's cross-model overlap model consumes these.
-            self._exec_seconds: deque[float] = deque(
-                maxlen=self.config.metrics_window
-            )
-            self._window_started: float | None = None
-            self._window_finished: float | None = None
-            self._cache_base = self._cache_counters()
+            self._ledger.reset()
 
     def metrics(self) -> ServingMetrics:
-        """Aggregate statistics since the last :meth:`reset_metrics`.
-
-        ``completed``/``throughput`` count the whole window; latency
-        percentiles and batch occupancy are over the most recent
-        ``metrics_window`` completions.  For a *named* server,
-        ``plan_cache_hit_rate`` and ``plan_builds`` come from the plan
-        cache's per-owner counters and are exact under any mix of cache
-        clients; for an unnamed server they are process-global deltas and
-        attribute correctly only while this server is the cache's dominant
-        client.  A ``clear_plan_cache()`` landing in the window zeroes the
-        cache's counters, losing the pre-clear portion: attribution
-        restarts from the clear (never negative deltas).
-        """
+        """Aggregate statistics since the last :meth:`reset_metrics` (see
+        :meth:`ServingLedger.metrics`).  For a *named* server the plan-cache
+        figures are exact under any mix of cache clients; for an unnamed
+        one they are process-global deltas."""
         with self._lock:
-            lat = sorted(self._latencies)
-            waits = sorted(self._queue_waits)
-            completed = self._completed
-            cache = self._cache_counters()
-            if any(now < base for now, base in zip(cache, self._cache_base)):
-                # The cache was cleared mid-window: its counters restarted
-                # from zero, so "since the clear" is all that is knowable.
-                self._cache_base = (0, 0, 0)
-            hits = cache[0] - self._cache_base[0]
-            misses = cache[1] - self._cache_base[1]
-            builds = cache[2] - self._cache_base[2]
-            elapsed = 0.0
-            if self._window_started is not None and self._window_finished is not None:
-                elapsed = self._window_finished - self._window_started
-            real = sum(n for n, _ in self._batch_records)
-            padded = sum(b for _, b in self._batch_records)
-            return ServingMetrics(
-                completed=completed,
-                batches=len(self._batch_records),
-                throughput=completed / elapsed if elapsed > 0 else 0.0,
-                latency_p50=_percentile(lat, 0.50),
-                latency_p95=_percentile(lat, 0.95),
-                latency_mean=sum(lat) / len(lat) if lat else 0.0,
-                plan_cache_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
-                plan_builds=builds,
-                mean_batch_occupancy=real / len(self._batch_records)
-                if self._batch_records else 0.0,
-                mean_bucket_fill=real / padded if padded else 0.0,
-                rejected=self._rejected,
-                shed=self._shed,
-                exec_seconds_total=sum(self._exec_seconds),
-                shed_deadline=self._shed_deadline,
-                deadline_misses=self._deadline_misses,
-                deadline_miss_rate=self._deadline_misses / self._deadline_total
-                if self._deadline_total else 0.0,
-                queue_wait_mean=sum(waits) / len(waits) if waits else 0.0,
-                queue_wait_p95=_percentile(waits, 0.95),
-                exec_mean=sum(self._exec_seconds) / len(self._exec_seconds)
-                if self._exec_seconds else 0.0,
-                bucket_target=self._buckets.target_bucket(),
-                failed=self._failed_count,
-                retries=self._retry_count,
-                isolated_batches=self._isolations,
-                unavailable=self._unavailable,
-                degraded_plans=len(self._engine.degraded()),
-                breaker_state=self._breaker.state if self._breaker else "disabled",
-                breaker_opens=self._breaker.opens if self._breaker else 0,
-            )
+            return self._ledger.metrics()
 
     def breaker_snapshot(self) -> dict | None:
         """The circuit breaker's state/transition snapshot (None = disabled)."""
         with self._lock:
-            return self._breaker.snapshot() if self._breaker else None
+            breaker = self._ledger.breaker
+            return breaker.snapshot() if breaker else None
 
     # -- request lifecycle ----------------------------------------------------
 
@@ -410,97 +496,66 @@ class Server:
         image = np.asarray(image, dtype=np.float32)
         if image.ndim != 3:
             raise ValueError(f"expected one (C, H, W) image, got shape {image.shape}")
-        shape = image.shape
         now = self.clock()
-        run_shape = None
         with self._cond:
-            if self._breaker is not None and not self._breaker.allow(now):
-                self._unavailable += 1
-                raise ModelUnavailable(
-                    f"model {self.name or '<unnamed>'} is unavailable: circuit "
-                    f"breaker open (error rate "
-                    f"{self._breaker.error_rate():.0%} over recent batches)"
+            self._ledger.admit(now)
+            outcome = self._core.submit(
+                self._key, image.shape, now, deadline=deadline, payload=image
+            )
+            self._mark_shed_locked(outcome.displaced, deadline=True)
+            if not outcome.accepted:
+                raise QueueFull(
+                    f"server queue at capacity ({self._core.pending_count()} "
+                    f"pending, max_pending={self.config.max_pending}); "
+                    f"request shed"
                 )
-            if self._admission.at_capacity(self._pending_total):
-                if self._shed_policy.policy == "deadline":
-                    self._shed_blown_locked(now)
-                if self._admission.at_capacity(self._pending_total):
-                    self._rejected += 1
-                    raise QueueFull(
-                        f"server queue at capacity ({self._pending_total} pending, "
-                        f"max_pending={self.config.max_pending}); request shed"
-                    )
-            self._buckets.observe_arrival(now)
-            # The id is allocated only after admission: every id this server
-            # ever handed out names an accepted request, so status() is
-            # well-defined over the whole id space.
-            request = Request(id=next(self._ids), image=image,
-                              submitted_at=now, deadline=deadline)
-            self._last_id = request.id
-            if self._window_started is None:
-                self._window_started = now
-            queue = self._pending.setdefault(shape, [])
-            queue.append(request)
-            self._pending_total += 1
-            if len(queue) >= self._buckets.target_bucket():
-                if self._worker is None:
-                    run_shape = shape
-                else:
-                    self._cond.notify_all()
-        if run_shape is not None:
-            self._flush_shape(run_shape)
-        return request.id
+            # The core allocates ids only on acceptance: every id this
+            # server ever handed out names an accepted request, so status()
+            # is well-defined over the whole id space.
+            request_id = self._last_id = outcome.request.id
+            self._open.add(request_id)
+            self._ledger.accepted(now)
+            inline = outcome.bucket_full and self._worker is None
+            if outcome.bucket_full and not inline:
+                self._cond.notify_all()
+        if inline:
+            self._run_due(now)
+        return request_id
 
     def pending_count(self) -> int:
         """Requests submitted but not yet executed (the admission quantity)."""
         with self._lock:
-            return self._pending_total
+            return self._core.pending_count()
 
     def window_span(self) -> tuple[float | None, float | None]:
         """(first submit, last completion) clock readings of this window."""
         with self._lock:
-            return self._window_started, self._window_finished
+            return self._ledger.started, self._ledger.finished
 
     def exec_seconds(self) -> list[float]:
         """Per-batch execution wall times of this window (most recent
-        ``metrics_window``); the router's overlap model consumes these."""
+        :data:`METRICS_WINDOW`); the router's overlap model consumes these."""
         with self._lock:
-            return list(self._exec_seconds)
+            return list(self._ledger.exec_seconds)
 
     def poll(self, now: float | None = None) -> int:
-        """Flush every bucket whose oldest request has exceeded the deadline
-        (and any full bucket); returns the number of batches executed.
+        """Run every due batch; returns the number of batches executed.
 
         Under ``shed_policy="deadline"``, queued requests whose own deadline
         already passed are shed here first — they could not complete in
         time, so they must not consume a batch slot."""
         now = self.clock() if now is None else now
-        due = []
         with self._cond:
-            if self._shed_policy.policy == "deadline":
-                self._shed_blown_locked(now)
-            target = self._buckets.target_bucket()
-            for shape, queue in self._pending.items():
-                if not queue:
-                    continue
-                if (
-                    len(queue) >= target
-                    or now - queue[0].submitted_at >= self.config.max_latency
-                ):
-                    due.append(shape)
-        # Drain: a due queue's overdue head batches with whatever is behind
-        # it anyway, so the sub-bucket remainder must not wait another cycle.
-        return sum(self._flush_shape(shape, drain=True) for shape in due)
+            self._mark_shed_locked(self._core.shed_blown(now), deadline=True)
+        return self._run_due(now)
 
     def flush(self) -> int:
         """Run every pending request regardless of deadlines."""
-        with self._lock:
-            due = [shape for shape, queue in self._pending.items() if queue]
-        return sum(self._flush_shape(shape, drain=True) for shape in due)
+        return self._run_due(self.clock(), force=True)
 
     def result(self, request_id: int) -> RequestResult | None:
         """The completed result for a request id, or ``None`` if it is still
-        pending (or was evicted unread past ``result_capacity``) — use
+        pending (or was evicted unread past :data:`RESULT_CAPACITY`) — use
         :meth:`status` to tell those apart."""
         with self._lock:
             return self._results.get(request_id)
@@ -513,8 +568,8 @@ class Server:
         :class:`~repro.serve.engine.RequestFailed`); ``PENDING`` — queued
         or executing right now; ``SHED`` — dropped unexecuted (shutdown
         shed or deadline shed); ``EVICTED`` — completed but its unread
-        result aged out past ``result_capacity`` (or its shed record was
-        trimmed).  Raises :class:`KeyError` for an id this server never
+        result aged out past :data:`RESULT_CAPACITY` (or its shed record
+        was trimmed).  Raises :class:`KeyError` for an id this server never
         issued.
         """
         with self._lock:
@@ -527,16 +582,11 @@ class Server:
             return RequestStatus.FAILED
         if request_id in self._shed_ids:
             return RequestStatus.SHED
-        if request_id in self._inflight:
+        if request_id in self._open:
             return RequestStatus.PENDING
-        for queue in self._pending.values():
-            for request in queue:
-                if request.id == request_id:
-                    return RequestStatus.PENDING
-        if request_id in self._evicted_ids or 0 <= request_id <= self._last_id:
-            # Every issued id was accepted (allocation happens after
-            # admission), so an issued-but-untracked id can only have
-            # aged out of the results/shed retention bounds.
+        if 0 <= request_id <= self._last_id:
+            # Every issued id was accepted, so an issued-but-untracked id
+            # can only have aged out of the retention bounds.
             return RequestStatus.EVICTED
         raise KeyError(f"request id {request_id} was never issued by this server")
 
@@ -548,12 +598,12 @@ class Server:
     def wait_result(self, request_id: int, timeout: float = 10.0) -> RequestResult:
         """Block until a request completes (threaded mode).
 
-        Results with an active waiter are exempt from ``result_capacity``
-        eviction.  Register the wait before or soon after submitting: a
-        result that went unread past ``result_capacity`` completions
-        *before* the waiter arrived has been evicted and times out here.
-        Raises :class:`DeadlineExceeded` for deadline-shed requests,
-        :class:`RequestShed` for shutdown-shed ones,
+        Results with an active waiter are exempt from
+        :data:`RESULT_CAPACITY` eviction.  Register the wait before or soon
+        after submitting: a result that went unread past that many
+        completions *before* the waiter arrived has been evicted and times
+        out here.  Raises :class:`DeadlineExceeded` for deadline-shed
+        requests, :class:`RequestShed` for shutdown-shed ones,
         :class:`~repro.serve.engine.RequestFailed` for requests whose
         execution failed, and :class:`ResultTimeout` (a ``TimeoutError``
         carrying the request's :meth:`status`) when the wait gives up.
@@ -591,137 +641,76 @@ class Server:
 
     # -- batch execution ------------------------------------------------------
 
-    def _plan_for(self, shape: tuple, bucket: int):
-        return self._engine.plan_for(shape, bucket)
-
-    def _flush_shape(self, shape: tuple, drain: bool = False) -> int:
-        """Run one shape's queue as batches; returns batches run.
-
-        ``drain=False`` (the full-bucket fast path off ``submit``) stops
-        once the queue cannot fill the current target bucket — sub-target
-        remainders wait for their deadline.  ``drain=True``
-        (``poll``/``flush``) empties the queue in max-bucket batches,
-        remainder included.
-        """
+    def _run_due(self, now: float, force: bool = False) -> int:
+        """Run the core's due batches (every queued one with ``force``)
+        until none is left; returns batches run."""
         batches = 0
         while True:
             with self._lock:
-                queue = self._pending.get(shape)
-                target = self._buckets.target_bucket()
-                if not queue or (not drain and len(queue) < target):
-                    return batches
-                take = min(len(queue), self.config.max_bucket if drain else target)
-                requests = queue[:take]
-                del queue[:take]
-                self._pending_total -= take
-                self._inflight.update(r.id for r in requests)
-            self._run_batch(shape, requests)
+                batch = self._core.next_batch(now, force=force)
+            if batch is None:
+                return batches
+            self._run_batch(batch)
             batches += 1
 
-    def _run_batch(self, shape: tuple, requests: list[Request]) -> None:
-        n = len(requests)
-        bucket = self.config.bucket_for(n)
+    def _run_batch(self, batch: Batch) -> None:
+        requests = batch.requests
         rows, errors, stats, timing = self._engine.run_resilient(
-            [r.image for r in requests], bucket, clock=self.clock,
+            [r.payload for r in requests], batch.bucket, clock=self.clock,
             request_ids=[r.id for r in requests],
             retry=self.config.retry, sleep=self.sleep,
             isolate=self.config.isolate_failures,
         )
-        done = timing.finished
-        completed = 0
         with self._cond:
-            for i, request in enumerate(requests):
-                self._inflight.discard(request.id)
-                if i in errors:
-                    # Terminal per-request failure: accounted (never silent),
-                    # retrievable, and re-raised by wait_result.
-                    self._failed[request.id] = errors[i]
-                    self._failed_count += 1
-                    if self._breaker is not None:
-                        self._breaker.record(False, done)
-                    continue
-                completed += 1
-                self._results[request.id] = RequestResult(
-                    id=request.id,
-                    output=rows[i].copy(),
-                    latency=done - request.submitted_at,
-                    batch_requests=n,
-                    bucket_size=bucket,
-                    queue_wait=timing.started - request.submitted_at,
-                )
-                self._latencies.append(done - request.submitted_at)
-                self._queue_waits.append(timing.started - request.submitted_at)
-                if self._breaker is not None:
-                    self._breaker.record(True, done)
-                if request.deadline is not None:
-                    self._deadline_total += 1
-                    # Finishing exactly at the deadline meets the SLO;
-                    # only strictly-later completions are misses.
-                    if done > request.deadline:
-                        self._deadline_misses += 1
-            self._retry_count += stats.retries
-            if stats.splits:
-                self._isolations += 1
-            if len(self._failed) > self.config.result_capacity:
-                # Same retention bound as unread results.
-                while len(self._failed) > self.config.result_capacity:
-                    rid, _ = self._failed.popitem(last=False)
-                    self._evicted_ids.add(rid)
-            self._completed += completed
-            # Bound unread-result retention: a long-running server must not
-            # accumulate output rows forever if clients never fetch them.
-            # Results someone is blocked in wait_result() on are kept.
-            if len(self._results) > self.config.result_capacity:
-                for rid in list(self._results):
-                    if len(self._results) <= self.config.result_capacity:
-                        break
-                    if rid not in self._waiting:
-                        del self._results[rid]
-                        self._evicted_ids.add(rid)
-                if len(self._evicted_ids) > self.config.result_capacity:
-                    self._evicted_ids = set(
-                        sorted(self._evicted_ids)[-self.config.result_capacity:]
-                    )
-            self._batch_records.append((n, bucket))
-            self._exec_seconds.append(timing.exec_seconds)
-            self._window_finished = done
+            outcomes = self._ledger.record_batch(batch, rows, errors, stats, timing)
+            for request, outcome in zip(requests, outcomes):
+                self._open.discard(request.id)
+                # Terminal failures are retrievable and re-raised by
+                # wait_result, never silent.
+                if isinstance(outcome, RequestFailed):
+                    self._failed[request.id] = outcome
+                else:
+                    self._results[request.id] = outcome
+            self._trim_locked()
             self._cond.notify_all()
 
-    # -- shedding -------------------------------------------------------------
+    # -- shedding and retention -----------------------------------------------
 
-    def _shed_blown_locked(self, now: float) -> int:
-        """Drop queued requests whose deadline already passed (lock held).
+    def _mark_shed_locked(self, victims: list[SchedRequest], deadline: bool) -> None:
+        """Report requests the core dropped unexecuted (lock held).
 
-        The shed is reported, never silent: victims land in ``_shed_ids``
-        (so :meth:`was_shed`/:meth:`status` see them) and in the deadline
-        subset (so :meth:`wait_result` raises :class:`DeadlineExceeded`),
-        and blocked waiters are woken.
+        Victims land in ``_shed_ids`` (so :meth:`was_shed`/:meth:`status`
+        see them) and, for deadline sheds, in the deadline subset (so
+        :meth:`wait_result` raises :class:`DeadlineExceeded`); blocked
+        waiters are woken.  Shutdown sheds count in ``ServingMetrics.shed``.
         """
-        victims: list[Request] = []
-        for queue in self._pending.values():
-            keep = [r for r in queue if not self._shed_policy.blown(r, now)]
-            if len(keep) != len(queue):
-                victims.extend(r for r in queue if self._shed_policy.blown(r, now))
-                queue[:] = keep
         if not victims:
-            return 0
+            return
         for request in victims:
+            self._open.discard(request.id)
             self._shed_ids.add(request.id)
-            self._deadline_shed_ids.add(request.id)
-        self._shed_deadline += len(victims)
-        self._pending_total -= len(victims)
-        self._trim_shed_ids_locked()
-        self._cond.notify_all()  # wake waiters so they see DeadlineExceeded
-        return len(victims)
+            if deadline:
+                self._deadline_shed_ids.add(request.id)
+        if not deadline:
+            self._ledger.shed += len(victims)
+        self._trim_locked()
+        self._cond.notify_all()
 
-    def _trim_shed_ids_locked(self) -> None:
-        # Same retention bound as unread results: repeated shed cycles on a
-        # long-lived server must not grow the sets forever.  Request ids are
-        # monotonic, so "oldest" is "smallest".
-        if len(self._shed_ids) > self.config.result_capacity:
-            self._shed_ids = set(
-                sorted(self._shed_ids)[-self.config.result_capacity:]
-            )
+    def _trim_locked(self) -> None:
+        # A long-running server must not accumulate unread output rows,
+        # failures or shed records forever if clients never fetch them.
+        # Results someone is blocked in wait_result() on are kept; request
+        # ids are monotonic, so the oldest shed records are the smallest.
+        while len(self._failed) > RESULT_CAPACITY:
+            self._failed.popitem(last=False)
+        if len(self._results) > RESULT_CAPACITY:
+            for rid in list(self._results):
+                if len(self._results) <= RESULT_CAPACITY:
+                    break
+                if rid not in self._waiting:
+                    del self._results[rid]
+        if len(self._shed_ids) > RESULT_CAPACITY:
+            self._shed_ids = set(sorted(self._shed_ids)[-RESULT_CAPACITY:])
             self._deadline_shed_ids &= self._shed_ids
 
     # -- threaded mode --------------------------------------------------------
@@ -760,22 +749,11 @@ class Server:
         if drain:
             self.flush()
         else:
-            self._shed_pending()
-
-    def _shed_pending(self) -> None:
-        """Drop every queued request, reporting each as shed."""
-        with self._cond:
-            for queue in self._pending.values():
-                for request in queue:
-                    self._shed_ids.add(request.id)
-                    self._shed += 1
-                queue.clear()
-            self._pending_total = 0
-            self._trim_shed_ids_locked()
-            self._cond.notify_all()  # wake waiters so they see RequestShed
+            with self._cond:
+                self._mark_shed_locked(self._core.shed_all(), deadline=False)
 
     def _worker_loop(self) -> None:
-        interval = self.config.worker_poll_interval or self.config.max_latency / 4
+        interval = self.config.max_latency / 4
         while True:
             with self._cond:
                 if self._stopping:

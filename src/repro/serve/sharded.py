@@ -169,8 +169,7 @@ class ShardedRouter:
     arrays; pass ``seed=...`` in ``build_kwargs`` to pin them.
 
     Per-model configuration rides along as a pickled
-    :class:`~repro.serve.policy.ServingPolicy` (legacy ``ServerConfig``
-    shims work too — see ``config=``), and a
+    :class:`~repro.serve.policy.ServingPolicy` (see ``config=``), and a
     fault injector installed before construction is inherited and
     re-seeded per shard.  Use as a context manager to guarantee worker
     teardown.

@@ -477,15 +477,15 @@ def test_model_on_threaded_backend_bitwise_equals_numpy():
 
 def test_router_overlapped_flush_matches_serial_results():
     from repro.models import build_serving_model
-    from repro.serve import Router, ServerConfig
+    from repro.serve import Router, ServingPolicy
 
     rng = np.random.default_rng(15)
     images = [rng.standard_normal((3, 12, 12)).astype(np.float32)
               for _ in range(12)]
     reference: dict[bool, list[np.ndarray]] = {}
     for overlap in (False, True):
-        router = Router(server_config=ServerConfig(bucket_sizes=(1, 2, 4),
-                                                   max_latency=60.0),
+        router = Router(server_config=ServingPolicy(bucket_sizes=(1, 2, 4),
+                                                    max_latency=60.0),
                         overlap=overlap)
         for name, seed in (("a", 21), ("b", 22)):
             router.register(name, build_serving_model(

@@ -28,7 +28,6 @@ from repro.models import build_model
 from repro.serve import (
     AsyncGateway,
     CircuitBreaker,
-    GatewayConfig,
     ModelExecutor,
     ModelUnavailable,
     RequestFailed,
@@ -37,7 +36,7 @@ from repro.serve import (
     RetryPolicy,
     Router,
     Server,
-    ServerConfig,
+    ServingPolicy,
 )
 from repro.utils import seed_all
 
@@ -321,8 +320,8 @@ def test_server_surfaces_request_failed_and_accounts_it():
     clock, sleep, t = _virtual_time()
     server = Server(
         _model(), input_shapes=[INPUT],
-        config=ServerConfig(bucket_sizes=(4,), max_latency=1.0,
-                            retry=RetryPolicy(max_attempts=2, base_delay=0.0)),
+        config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0,
+                             retry=RetryPolicy(max_attempts=2, base_delay=0.0)),
         clock=clock, sleep=sleep, name="m",
     )
     inj = FaultInjector(poison_ids=[("m", 1)])
@@ -343,7 +342,7 @@ def test_server_surfaces_request_failed_and_accounts_it():
 
 def test_wait_result_timeout_raises_typed_result_timeout():
     server = Server(_model(), input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(4,), max_latency=10.0))
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=10.0))
     rid = server.submit(_images(1)[0])
     with pytest.raises(ResultTimeout) as exc_info:
         server.wait_result(rid, timeout=0.05)
@@ -360,9 +359,9 @@ def test_server_breaker_opens_sheds_and_recloses():
     clock, sleep, t = _virtual_time()
     server = Server(
         _model(), input_shapes=[INPUT],
-        config=ServerConfig(bucket_sizes=(4,), max_latency=1.0,
-                            breaker_window=16, breaker_min_samples=4,
-                            breaker_threshold=0.5, breaker_cooldown=0.5),
+        config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0,
+                             breaker_window=16, breaker_min_samples=4,
+                             breaker_threshold=0.5, breaker_cooldown=0.5),
         clock=clock, sleep=sleep, name="broken",
     )
     # 7 fires fail one isolated batch of 4 completely (1 full + 2 halves +
@@ -395,7 +394,7 @@ def test_server_breaker_opens_sheds_and_recloses():
 
 def _soak_router(clock, sleep):
     router = Router(
-        server_config=ServerConfig(
+        server_config=ServingPolicy(
             bucket_sizes=(4,), max_latency=0.05,
             retry=RetryPolicy(max_attempts=3, base_delay=0.001, seed=11),
             breaker_window=32, breaker_min_samples=8,
@@ -435,9 +434,9 @@ def test_chaos_soak_goodput_bitwise_and_breaker_visibility():
     router = _soak_router(clock, sleep)
     router.register(
         "broken", _model(), input_shapes=[INPUT],
-        config=ServerConfig(bucket_sizes=(4,), max_latency=0.05,
-                            breaker_window=16, breaker_min_samples=4,
-                            breaker_threshold=0.5, breaker_cooldown=0.5),
+        config=ServingPolicy(bucket_sizes=(4,), max_latency=0.05,
+                             breaker_window=16, breaker_min_samples=4,
+                             breaker_threshold=0.5, breaker_cooldown=0.5),
     )
     inj = FaultInjector(
         [
@@ -512,8 +511,9 @@ def test_chaos_soak_goodput_bitwise_and_breaker_visibility():
 
 def test_gateway_drain_resolves_every_future_of_a_raising_batch():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(4,), max_latency=30.0,
-                                        adaptive_buckets=False))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(4,), max_latency=30.0,
+                                        adaptive_buckets=False,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         inj = FaultInjector([FaultSpec(site="kernel", rate=1.0, models=("m",))])
         with use_faults(inj):
@@ -538,10 +538,10 @@ def test_gateway_breaker_opens_sheds_and_recloses():
     async def main():
         t = [0.0]
         gw = AsyncGateway(
-            GatewayConfig(bucket_sizes=(4,), max_latency=0.005,
+            ServingPolicy(bucket_sizes=(4,), max_latency=0.005,
                           adaptive_buckets=False, breaker_window=16,
                           breaker_min_samples=4, breaker_threshold=0.5,
-                          breaker_cooldown=0.5),
+                          breaker_cooldown=0.5, shed_policy="deadline"),
             clock=lambda: t[0],
             sleep=lambda dt: t.__setitem__(0, t[0] + dt),
         )

@@ -14,11 +14,10 @@ from repro.models import build_model
 from repro.serve import (
     AsyncGateway,
     DeadlineExceeded,
-    GatewayConfig,
     QueueFull,
     RequestShed,
     Server,
-    ServerConfig,
+    ServingPolicy,
 )
 from repro.utils import seed_all
 
@@ -49,14 +48,15 @@ def test_gateway_outputs_bitwise_equal_sync_server_and_per_request():
 
     # Sync server, coalesced.
     server = Server(_model(), input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(4,), max_latency=1.0))
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0))
     ids = [server.submit(im) for im in images]
     server.flush()
     sync_out = [server.result(i).output for i in ids]
+    sync_metrics = server.metrics()
 
     # Sync server, per-request (each rides its own padded bucket).
     solo_server = Server(_model(), input_shapes=[INPUT],
-                         config=ServerConfig(bucket_sizes=(4,), max_latency=1.0))
+                         config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0))
     solo_out = []
     for im in images:
         rid = solo_server.submit(im)
@@ -67,19 +67,25 @@ def test_gateway_outputs_bitwise_equal_sync_server_and_per_request():
     # splits the stream into batches, every batch pads to bucket 4, so the
     # outputs must be bit-identical to both sync modes.
     async def run_gateway():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(4,), max_latency=0.005,
-                                        adaptive_buckets=False))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(4,), max_latency=0.005,
+                                        adaptive_buckets=False,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         results = await asyncio.gather(
             *[gw.submit("m", im, budget=30.0) for im in images]
         )
         await gw.stop()
-        return [r.output for r in results]
+        return [r.output for r in results], gw.metrics()["m"]
 
-    async_out = asyncio.run(run_gateway())
+    async_out, async_metrics = asyncio.run(run_gateway())
     for sync_row, solo_row, async_row in zip(sync_out, solo_out, async_out):
         np.testing.assert_array_equal(sync_row, solo_row)
         np.testing.assert_array_equal(sync_row, async_row)
+    # Both transports account the same traffic through the same ledger.
+    for field in ("completed", "batches", "mean_batch_occupancy",
+                  "mean_bucket_fill", "deadline_misses"):
+        assert getattr(async_metrics, field) == getattr(sync_metrics, field), field
+    assert sync_metrics.completed == 8 and sync_metrics.batches == 2
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +94,9 @@ def test_gateway_outputs_bitwise_equal_sync_server_and_per_request():
 
 def test_blown_budget_resolves_with_deadline_exceeded():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(4,), max_latency=0.005))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(4,), max_latency=0.005,
+                                        adaptive_buckets=True,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         # A budget that is already blown at submission: deterministic shed
         # on the scheduler's first pass, no timing assumptions.
@@ -106,8 +114,9 @@ def test_blown_budget_resolves_with_deadline_exceeded():
 
 def test_admission_backpressure_raises_queue_full():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(8,), max_latency=30.0,
-                                        max_pending=2, adaptive_buckets=False))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(8,), max_latency=30.0,
+                                        max_pending=2, adaptive_buckets=False,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         images = _images(3, seed=3)
         # Enqueue two (bucket 8 + long flush window: nothing dispatches);
@@ -128,8 +137,9 @@ def test_admission_backpressure_raises_queue_full():
 
 def test_stop_without_drain_sheds_awaiters():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(8,), max_latency=30.0,
-                                        adaptive_buckets=False))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(8,), max_latency=30.0,
+                                        adaptive_buckets=False,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         waiters = [asyncio.ensure_future(gw.submit("m", im, budget=60.0))
                    for im in _images(3, seed=4)]
@@ -137,15 +147,19 @@ def test_stop_without_drain_sheds_awaiters():
         await gw.stop(drain=False)
         outcomes = await asyncio.gather(*waiters, return_exceptions=True)
         assert all(isinstance(o, RequestShed) for o in outcomes)
+        # Shutdown sheds count as ``shed``; deadline sheds stay separate.
+        metrics = gw.metrics()["m"]
+        assert metrics.shed == 3 and metrics.shed_deadline == 0
 
     asyncio.run(main())
 
 
 def test_async_context_manager_drains_on_exit():
     async def main():
-        async with AsyncGateway(GatewayConfig(bucket_sizes=(8,),
+        async with AsyncGateway(ServingPolicy(bucket_sizes=(8,),
                                               max_latency=30.0,
-                                              adaptive_buckets=False)) as gw:
+                                              adaptive_buckets=False,
+                                              shed_policy="deadline")) as gw:
             gw.register("m", _model(), input_shapes=[INPUT])
             waiter = asyncio.ensure_future(
                 gw.submit("m", _images(1, seed=5)[0], budget=60.0)
@@ -176,15 +190,16 @@ def test_gateway_validation_errors():
 
 def test_gateway_metrics_split_and_fairness_accounting():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(1, 2, 4),
-                                        max_latency=0.005))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(1, 2, 4),
+                                        max_latency=0.005,
+                                        adaptive_buckets=True,
+                                        shed_policy="deadline"))
         gw.register("a", _model(), input_shapes=[INPUT], request_cost=1.0)
         gw.register("b", _model(), input_shapes=[INPUT], request_cost=4.0)
         results = await asyncio.gather(
             *[gw.submit("a", im, budget=30.0) for im in _images(4, seed=6)],
             *[gw.submit("b", im, budget=30.0) for im in _images(2, seed=7)],
         )
-        await gw.stop()
         assert all(r.latency >= r.queue_wait >= 0.0 for r in results)
         metrics = gw.metrics()
         assert metrics["a"].completed == 4 and metrics["b"].completed == 2
@@ -193,6 +208,15 @@ def test_gateway_metrics_split_and_fairness_accounting():
             assert m.latency_mean >= m.queue_wait_mean
             assert m.bucket_target in (1, 2, 4)
             assert m.deadline_miss_rate <= 1.0
+            # Pre-built shapes run on warm plans only.
+            assert m.plan_builds == 0 and m.plan_cache_hit_rate == 1.0
+        # A shape that was never pre-built takes the cold path, and the
+        # model's per-owner cache counters show it.
+        await gw.submit("a", _images(1, shape=(3, 8, 8), seed=8)[0], budget=30.0)
+        await gw.stop()
+        cold = gw.metrics()["a"]
+        assert cold.plan_builds > 0 and cold.plan_cache_hit_rate < 1.0
+        assert gw.metrics()["b"].plan_builds == 0
 
     asyncio.run(main())
 
@@ -208,8 +232,10 @@ def test_gateway_soak_every_submission_is_accounted_for():
     # (result, DeadlineExceeded, RequestShed or QueueFull) — the gateway's
     # nothing-silently-dropped contract under churn.
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(1, 2, 4),
-                                        max_latency=0.002, max_pending=16))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(1, 2, 4),
+                                        max_latency=0.002, max_pending=16,
+                                        adaptive_buckets=True,
+                                        shed_policy="deadline"))
         gw.register("small", _model(), input_shapes=[INPUT], request_cost=1.0)
         gw.register("large", _model(), input_shapes=[INPUT], request_cost=2.0)
         rng = np.random.default_rng(8)
@@ -261,8 +287,9 @@ def test_gateway_runs_with_threaded_kernel_backend_without_deadlock():
     from repro.backend import num_workers
 
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(2,), max_latency=0.005,
-                                        max_concurrent_batches=2))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(2,), max_latency=0.005,
+                                        adaptive_buckets=True,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         results = await asyncio.gather(
             *[gw.submit("m", im, budget=30.0) for im in _images(4, seed=9)]

@@ -1,31 +1,14 @@
-"""ServingPolicy consolidation: shim equivalence, deprecation, coercion.
+"""ServingPolicy: the one config object every serving transport takes.
 
-The contract: a bare :class:`ServingPolicy` passed to any transport behaves
-bit-for-bit like the legacy per-transport config carrying the same shared
-fields; the legacy classes still construct (as deprecated shims) and
-``coerce`` normalises every accepted form without emitting the user-facing
-deprecation warning on internal paths.
+The contract: the policy validates once, its defaults are the sync
+server's historical defaults, and a transport handed a policy uses it as
+given — only an asyncio gateway built with no policy at all falls back to
+its historical adaptive-bucket, deadline-shed defaults.
 """
-import pickle
-import warnings
-
-import numpy as np
 import pytest
 
-from repro.serve import (
-    AsyncGateway,
-    GatewayConfig,
-    Server,
-    ServerConfig,
-    ServingPolicy,
-)
-from repro.serve.sched import RetryPolicy, SchedCore
-
-
-def _silent(factory):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return factory()
+from repro.serve import AsyncGateway, ServingPolicy
+from repro.serve.sched import SchedCore
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +17,15 @@ def _silent(factory):
 
 def test_policy_defaults_match_legacy_server_defaults():
     policy = ServingPolicy()
-    legacy = _silent(ServerConfig)
-    for name in ("bucket_sizes", "max_latency", "max_pending",
-                 "adaptive_buckets", "shed_policy", "retry",
-                 "isolate_failures", "breaker_window", "degrade_after"):
-        assert getattr(policy, name) == getattr(legacy, name)
+    assert policy.bucket_sizes == (1, 2, 4, 8)
+    assert policy.max_latency == 0.01
+    assert policy.max_pending is None
+    assert policy.adaptive_buckets is False
+    assert policy.shed_policy is None
+    assert policy.retry is None
+    assert policy.isolate_failures is True
+    assert policy.breaker_window is None
+    assert policy.degrade_after is None
 
 
 def test_policy_validation():
@@ -81,98 +68,31 @@ def test_make_breaker_mirrors_knobs():
     assert breaker.threshold == 0.25
 
 
-# ---------------------------------------------------------------------------
-# Deprecated shims
-# ---------------------------------------------------------------------------
-
-def test_direct_shim_construction_warns():
-    for shim in (ServerConfig, GatewayConfig):
-        with pytest.warns(DeprecationWarning, match=shim.__name__):
-            shim()
-
-
-def test_internal_coercion_never_warns():
-    policy = ServingPolicy(max_latency=0.02)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        ServerConfig.coerce(None)
-        ServerConfig.coerce(policy)
-        GatewayConfig.coerce(None)
-        GatewayConfig.coerce(policy)
-        GatewayConfig.from_policy(policy, fairness="fifo")
-
-
-def test_coerce_forms():
-    policy = ServingPolicy(max_latency=0.02, breaker_window=4)
-    lifted = ServerConfig.coerce(policy)
-    assert isinstance(lifted, ServerConfig)
-    assert lifted.max_latency == 0.02
-    assert lifted.breaker_window == 4
-    assert lifted.result_capacity == 65536   # extras keep their defaults
-
-    legacy = _silent(lambda: ServerConfig(max_latency=0.03))
-    assert ServerConfig.coerce(legacy) is legacy   # instances pass through
-
-    assert ServerConfig.coerce(None).max_latency == ServingPolicy().max_latency
-    with pytest.raises(TypeError, match="ServingPolicy"):
-        ServerConfig.coerce({"max_latency": 0.02})
-
-
-def test_gateway_shim_keeps_historical_defaults():
-    config = GatewayConfig.coerce(None)
-    assert config.adaptive_buckets is True
-    assert config.shed_policy == "deadline"
-    assert config.fairness == "drr"
-    # A bare policy means what it says: gateway defaults do NOT leak in.
-    lifted = GatewayConfig.coerce(ServingPolicy())
-    assert lifted.adaptive_buckets is False
-    assert lifted.shed_policy is None
-
-
-def test_from_policy_carries_retry_and_extras():
-    policy = ServingPolicy(retry=RetryPolicy(max_attempts=3), max_pending=7)
-    config = GatewayConfig.from_policy(policy, max_concurrent_batches=2)
-    assert config.retry is policy.retry
-    assert config.max_pending == 7
-    assert config.max_concurrent_batches == 2
-
-
-def test_shims_pickle_without_warning():
-    legacy = _silent(lambda: ServerConfig(max_latency=0.02))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        clone = pickle.loads(pickle.dumps(legacy))
-    assert clone == legacy
+def test_make_core_mirrors_knobs():
+    core = ServingPolicy(bucket_sizes=(2, 4), max_latency=0.02, max_pending=3,
+                         adaptive_buckets=True, shed_policy="deadline").make_core()
+    core.add_model("m")
+    assert core.shed.policy == "deadline"
+    assert core.fairness.mode == "drr" and core.fairness.quantum == 4.0
+    assert core.bucket_target("m") == 2          # adaptive: no arrivals yet
+    assert ServingPolicy().make_core().shed.policy == "newest"
 
 
 # ---------------------------------------------------------------------------
 # Transports accept a bare policy
 # ---------------------------------------------------------------------------
 
-def test_server_accepts_policy_and_legacy_equally():
-    from repro.models import build_serving_model
-
-    policy = ServingPolicy(bucket_sizes=(1, 2), max_latency=1.0)
-    legacy = _silent(lambda: ServerConfig(bucket_sizes=(1, 2), max_latency=1.0))
-    image = np.random.default_rng(0).standard_normal((3, 16, 16))
-    image = image.astype(np.float32)
-    outs = []
-    for config in (policy, legacy):
-        model = build_serving_model("mobilenet", scheme="scc",
-                                    width_mult=0.25, seed=9)
-        server = Server(model, input_shapes=[(3, 16, 16)], config=config)
-        handle = server.submit(image)
-        server.flush()
-        outs.append(server.result(handle).output)
-        assert isinstance(server.config, ServerConfig)
-    np.testing.assert_array_equal(outs[0], outs[1])
-
-
 def test_gateway_accepts_policy():
-    gateway = AsyncGateway(ServingPolicy(bucket_sizes=(1, 2)))
-    assert isinstance(gateway.config, GatewayConfig)
+    policy = ServingPolicy(bucket_sizes=(1, 2))
+    gateway = AsyncGateway(policy)
+    assert gateway.config is policy
     # Policy semantics preserved: no deadline shedding unless asked for.
-    assert gateway.config.shed_policy is None
+    assert gateway.core.shed.policy == "newest"
+    # Only a gateway built with no policy keeps its historical defaults.
+    default = AsyncGateway().config
+    assert default.adaptive_buckets is True
+    assert default.shed_policy == "deadline"
+    assert default.bucket_sizes == ServingPolicy().bucket_sizes
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.serve import (
     Router,
     RouterHandle,
     Server,
-    ServerConfig,
+    ServingPolicy,
 )
 from repro.tensor import Tensor, no_grad
 from repro.utils import seed_all
@@ -38,7 +38,7 @@ def _images(n, shape=INPUT, seed=0):
 
 
 def _router(bucket_sizes=(1, 2, 4), max_latency=5.0, **config_kwargs):
-    router = Router(server_config=ServerConfig(
+    router = Router(server_config=ServingPolicy(
         bucket_sizes=bucket_sizes, max_latency=max_latency, **config_kwargs))
     router.register("narrow", "mobilenet", input_shapes=[INPUT],
                     scheme="scc", width_mult=0.25, seed=11)
@@ -104,7 +104,7 @@ def test_interleaved_models_do_not_perturb_each_other():
 # ---------------------------------------------------------------------------
 
 def test_register_accepts_built_model_and_rejects_duplicates():
-    router = Router(server_config=ServerConfig(bucket_sizes=(2,)))
+    router = Router(server_config=ServingPolicy(bucket_sizes=(2,)))
     model = build_serving_model("mobilenet", scheme="scc", width_mult=0.25, seed=3)
     server = router.register("m", model, input_shapes=[INPUT])
     assert isinstance(server, Server) and server.name == "m"
@@ -324,8 +324,8 @@ def test_router_status_passthrough():
 def test_router_forwards_deadlines_and_aggregates_slo_metrics():
     clock = [0.0]
     router = Router(
-        server_config=ServerConfig(bucket_sizes=(4,), max_latency=10.0,
-                                   shed_policy="deadline"),
+        server_config=ServingPolicy(bucket_sizes=(4,), max_latency=10.0,
+                                    shed_policy="deadline"),
         clock=lambda: clock[0], overlap=False,
     )
     router.register("narrow", "mobilenet", input_shapes=[INPUT],
@@ -347,7 +347,7 @@ def test_router_forwards_deadlines_and_aggregates_slo_metrics():
 def test_router_sets_cache_owner_floor():
     previous_floor = PLAN_CACHE.owner_floor
     try:
-        Router(server_config=ServerConfig(bucket_sizes=(1,), max_latency=60.0),
+        Router(server_config=ServingPolicy(bucket_sizes=(1,), max_latency=60.0),
                cache_owner_floor=2)
         assert PLAN_CACHE.owner_floor == 2
     finally:

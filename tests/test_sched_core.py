@@ -209,8 +209,9 @@ def test_core_batches_on_full_bucket_and_deadline():
     assert batch.bucket == 4                           # padded to the fit
     assert core.pending_count() == 0
 
-    for i in range(5):
-        core.submit("m", SHAPE, now=1.0)
+    outcomes = [core.submit("m", SHAPE, now=1.0) for _ in range(5)]
+    # The fourth arrival fills the target bucket: a batch is due now.
+    assert [o.bucket_full for o in outcomes] == [False] * 3 + [True] * 2
     batch = core.next_batch(now=1.0)                   # full trigger, no age
     assert len(batch.requests) == 4 and batch.bucket == 4
     assert core.next_batch(now=1.0) is None            # remainder waits
