@@ -88,11 +88,21 @@ def test_gateway_accepts_policy():
     assert gateway.config is policy
     # Policy semantics preserved: no deadline shedding unless asked for.
     assert gateway.core.shed.policy == "newest"
+
+
+def test_gateway_shim_keeps_historical_defaults():
     # Only a gateway built with no policy keeps its historical defaults.
-    default = AsyncGateway().config
+    gateway = AsyncGateway()
+    default = gateway.config
     assert default.adaptive_buckets is True
     assert default.shed_policy == "deadline"
     assert default.bucket_sizes == ServingPolicy().bucket_sizes
+    assert gateway.core.shed.policy == "deadline"
+    assert gateway.core.fairness.mode == "drr"
+    # A bare policy means what it says: gateway defaults do NOT leak in.
+    lifted = AsyncGateway(ServingPolicy()).config
+    assert lifted.adaptive_buckets is False
+    assert lifted.shed_policy is None
 
 
 # ---------------------------------------------------------------------------
